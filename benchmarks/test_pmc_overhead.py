@@ -10,7 +10,7 @@ manifest, so ``repro stats`` can track it across revisions.
 """
 
 from repro.pipeline.pmc import EVENTS, PMC
-from repro.telemetry import profile_block, time_callable
+from repro.telemetry import time_callable
 
 from _harness import emit, run_once, scale, telemetry_run
 
@@ -42,12 +42,10 @@ def test_pmc_add_interned_counters(benchmark):
 
     def measure():
         with telemetry_run("bench-pmc-overhead", calls=CALLS) as manifest:
-            with profile_block("pmc_add_interned"):
-                interned_s = time_callable(
-                    lambda: pmc.add(LAST_EVENT), repeat=3, number=CALLS)
-            with profile_block("pmc_add_dict"):
-                dict_s = time_callable(
-                    lambda: legacy.add(LAST_EVENT), repeat=3, number=CALLS)
+            interned_s = time_callable(
+                lambda: pmc.add(LAST_EVENT), repeat=3, number=CALLS)
+            dict_s = time_callable(
+                lambda: legacy.add(LAST_EVENT), repeat=3, number=CALLS)
             speedup = dict_s / interned_s if interned_s else 0.0
             manifest.finish(
                 "success",

@@ -29,14 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..errors import DecodeError
-from ..isa import BranchKind, Instruction, decode
+from ..isa import MAX_INSTR_BYTES, BranchKind, Instruction, decode
 from ..params import PAGE_SHIFT, PAGE_SIZE, is_canonical
 from ..pipeline import CPU, Microarch, Reach
 from .harness import Observables, World, compare_observables, run_program
 from .program import FuzzProgram
-
-#: Maximum encoded instruction length (mirrors the CPU's fetch window).
-_MAX_INSTR_BYTES = 16
 
 #: Observable fields that may legitimately differ once speculation is
 #: disabled: timing, performance counters and the episodes themselves.
@@ -130,7 +127,7 @@ def _read_code(world: World, pc: int, size: int) -> bytes | None:
 
 def _check_decoded(world: World, pc: int, cached: Instruction | None,
                    label: str) -> Violation | None:
-    raw = _read_code(world, pc, _MAX_INSTR_BYTES)
+    raw = _read_code(world, pc, MAX_INSTR_BYTES)
     if raw is None:
         return None  # page gone: entry unreachable, nothing to compare
     try:

@@ -1,7 +1,7 @@
 """x86-64 subset ISA: instruction model, encoder/decoder, assembler, µops."""
 
 from .assembler import Assembler, Image, Segment
-from .decoder import decode
+from .decoder import MAX_INSTR_BYTES, decode, decode_cached
 from .encoder import NOPL_SEQUENCES, encode, encode_with_length
 from .instructions import BranchKind, Cond, Instruction, Mnemonic, Reg
 from .semantics import (SUPERBLOCK_FUSIBLE, ArchState, ExecResult, Flags,
@@ -18,6 +18,7 @@ __all__ = [
     "Flags",
     "Image",
     "Instruction",
+    "MAX_INSTR_BYTES",
     "MemAccess",
     "Mnemonic",
     "NOPL_SEQUENCES",
@@ -31,6 +32,7 @@ __all__ = [
     "condition_met",
     "crack",
     "decode",
+    "decode_cached",
     "encode",
     "encode_with_length",
     "execute",

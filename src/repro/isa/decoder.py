@@ -5,6 +5,10 @@ implemented subset.  Decoding arbitrary (e.g. speculatively fetched)
 bytes may raise :class:`DecodeError`; the pipeline's ID unit treats such
 bytes as undecodable garbage, which is what a real decoder does with a
 phantom target that holds data rather than code.
+
+:func:`decode_cached` memoizes :func:`decode` by the instruction's byte
+window, for the fast engine; the naive engine calls :func:`decode`
+directly and stays the uncached oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +21,18 @@ from .encoder import NOPL_SEQUENCES
 from .instructions import Cond, Instruction, Mnemonic, Reg
 
 _NOPL_BY_BYTES = sorted(NOPL_SEQUENCES.items(), key=lambda kv: -kv[0])
+
+#: Byte window that holds any instruction: no encoding in the subset is
+#: longer, so ``decode(buf[offset:offset + MAX_INSTR_BYTES])`` behaves
+#: exactly like ``decode(buf, offset)``, truncation included.
+MAX_INSTR_BYTES = 16
+
+#: Entries the decode memo holds before it is cleared wholesale.
+MEMO_CAP = 8192
+
+#: Byte window -> decoded instruction, or the ``(type, args)`` of the
+#: DecodeError the window raised.
+_MEMO: dict[bytes, Instruction | tuple] = {}
 
 
 class _Cursor:
@@ -271,3 +287,27 @@ def decode(buf: bytes, offset: int = 0) -> Instruction:
                                     src=rm, cc=Cond(second & 0xF)))
         raise DecodeError(f"unsupported two-byte opcode 0F {second:#x}")
     raise DecodeError(f"unsupported opcode {first:#x}")
+
+
+def decode_cached(buf: bytes, offset: int = 0) -> Instruction:
+    """:func:`decode`, memoized by the byte window at *offset*.
+
+    A miss runs :func:`decode` (looked up at call time, so a wrapper
+    bound over the module name sees every miss) on the window, strict
+    canonicality proof included.  A window that failed to decode
+    raises a fresh exception of the same type and message on every
+    hit.
+    """
+    key = bytes(buf[offset:offset + MAX_INSTR_BYTES])
+    hit = _MEMO.get(key)
+    if hit is None:
+        if len(_MEMO) >= MEMO_CAP:
+            _MEMO.clear()
+        try:
+            hit = decode(key)
+        except DecodeError as exc:
+            hit = (type(exc), exc.args)
+        _MEMO[key] = hit
+    if type(hit) is tuple:
+        raise hit[0](*hit[1])
+    return hit

@@ -77,8 +77,9 @@ from ..errors import (DecodeError, HaltRequested, PageFault, ReproError,
                       SimulationLimit, TruncatedError)
 from ..fastpath import fastpath_config
 from ..frontend import BPU, Prediction, UopCache
-from ..isa import (SUPERBLOCK_FUSIBLE, ArchState, BranchKind, Instruction,
-                   Mnemonic, compile_executor, decode, execute, uop_count)
+from ..isa import (MAX_INSTR_BYTES, SUPERBLOCK_FUSIBLE, ArchState,
+                   BranchKind, Instruction, Mnemonic, compile_executor,
+                   decode, decode_cached, execute, uop_count)
 from ..isa.semantics import SUPERBLOCK_HELPERS, superblock_arch_lines
 from ..memory import MemorySystem
 from ..params import MASK64, PAGE_SHIFT, PAGE_SIZE, canonical
@@ -90,8 +91,6 @@ from .pmc import PMC
 from .sched import EventScheduler
 
 _REG = _metrics.REGISTRY
-
-_MAX_INSTR_BYTES = 16
 
 #: Pre-resolved PMC counter slots (see :meth:`PMC.index`): the hot path
 #: bumps ``pmc.counts`` entries directly instead of hashing event names.
@@ -238,6 +237,9 @@ class CPU:
             else bool(superblocks))
         self._quiesce = self._fastpath and (
             _config.quiesce if quiesce is None else bool(quiesce))
+        #: Byte-window decode memo on the fast path; the naive engine
+        #: decodes every time, so it stays the uncached oracle.
+        self._decode = decode_cached if self._fastpath else decode
         #: Memoized (or naive — same results) translation entry point.
         self._translate = mem.translate
         #: L1-miss heuristic threshold, read once: an access is a miss
@@ -323,7 +325,7 @@ class CPU:
         tb_kernel = self._tb_kernel
         tb_index = self._tb_index
         code_pages = self._code_pages
-        lo_reach = lo - _MAX_INSTR_BYTES
+        lo_reach = lo - MAX_INSTR_BYTES
         for page in range((lo_reach + 1) >> PAGE_SHIFT,
                           ((hi - 1) >> PAGE_SHIFT) + 1):
             pcs = code_pages.get(page)
@@ -397,18 +399,18 @@ class CPU:
             return instr
         block = self.uarch.fetch_block
         block_end = (pc & ~(block - 1)) + block
-        raw = self._fetch_bytes(pc, min(block_end - pc, _MAX_INSTR_BYTES))
+        raw = self._fetch_bytes(pc, min(block_end - pc, MAX_INSTR_BYTES))
         try:
-            instr = decode(raw)
+            instr = self._decode(raw)
         except TruncatedError:
             try:
                 raw += self._fetch_bytes(pc + len(raw),
-                                         _MAX_INSTR_BYTES - len(raw))
+                                         MAX_INSTR_BYTES - len(raw))
             except PageFault as exc:
                 raise PageFault(canonical(pc + len(raw)), present=False,
                                 user=not self.kernel_mode, exec_=True) \
                     from exc
-            instr = decode(raw)   # DecodeError propagates
+            instr = self._decode(raw)   # DecodeError propagates
         self._decode_cache[pc] = instr
         self._register_code_pc(pc)
         self.cycles += self.uarch.decode_latency
@@ -1235,7 +1237,7 @@ class CPU:
         pos = 0
         while pos < len(raw):
             try:
-                instr = decode(raw, pos)
+                instr = self._decode(raw, pos)
             except DecodeError:
                 break
             decoded.append((target + pos, instr))
@@ -1277,10 +1279,10 @@ class CPU:
         change bumps the page-table generation, which clears this cache
         wholesale.  Entries are also dropped by ``invalidate_code``.
         """
-        window = min(_MAX_INSTR_BYTES, PAGE_SIZE - (pa & (PAGE_SIZE - 1)))
+        window = min(MAX_INSTR_BYTES, PAGE_SIZE - (pa & (PAGE_SIZE - 1)))
         raw = self.mem.phys.read(pa, window)
         try:
-            instr = decode(raw)
+            instr = self._decode(raw)
         except DecodeError:
             entry = None
         else:
@@ -1404,7 +1406,7 @@ class CPU:
                     pa = translate(pc, exec_=True, user_mode=user)
                 except PageFault:
                     break
-                window = min(_MAX_INSTR_BYTES,
+                window = min(MAX_INSTR_BYTES,
                              PAGE_SIZE - (pa & (PAGE_SIZE - 1)))
                 raw = self.mem.phys.read(pa, window)
                 try:

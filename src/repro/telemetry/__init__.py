@@ -31,7 +31,7 @@ from .manifest import MANIFEST_SCHEMA, PhaseProfile, RunManifest, \
 from .merge import merge_metric_snapshots, merge_pmc
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, REGISTRY, \
     counter, gauge, histogram
-from .profiling import profile_block, time_callable
+from .profiling import time_callable
 from .progress import PROGRESS_SCHEMA, ProgressReporter
 from .schema import CONTRACT_VIOLATION_JSON_SCHEMA, INTAKE_JSON_SCHEMA, \
     MANIFEST_JSON_SCHEMA, SchemaError, validate, validate_intake, \
@@ -82,7 +82,6 @@ __all__ = [
     "merge_pmc",
     "metrics",
     "one_line_summary",
-    "profile_block",
     "read_jsonl",
     "read_spans",
     "stitch",

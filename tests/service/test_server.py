@@ -6,6 +6,7 @@ so this is the full wire path: argparse-free request documents in,
 typed errors and fingerprint-stable manifests out.
 """
 
+import asyncio
 import json
 
 import pytest
@@ -174,6 +175,10 @@ def test_disconnected_event_subscriber_is_unsubscribed(service):
         deadline = _time.time() + 5
         while record.subscribers and _time.time() < deadline:
             _time.sleep(0.01)
+        # Loop barrier: callbacks run in FIFO order, so once this
+        # coroutine has run the three pushes above have run too.
+        asyncio.run_coroutine_threadsafe(
+            asyncio.sleep(0), service._loop).result(timeout=10)
         assert record.subscribers == []     # the leak, had it survived
         assert len(record.event_lines) == 3
     finally:

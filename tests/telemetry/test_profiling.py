@@ -1,30 +1,6 @@
-"""Host-time profiling hooks (satellite: lazy histogram binding)."""
+"""Host-time timing helper."""
 
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profiling import profile_block, time_callable
-
-
-def test_profile_block_records_into_enabled_registry():
-    registry = MetricsRegistry()
-    registry.enable()
-    with profile_block("decode", registry=registry) as result:
-        pass
-    assert result["elapsed_s"] >= 0.0
-    snap = registry.snapshot()
-    assert snap["histograms"]["profile_decode_seconds"]["count"] == 1
-
-
-def test_profile_block_on_disabled_registry_is_a_no_op():
-    """The histogram binds lazily: profiling with telemetry off must
-    leave no profile_* instrument behind in later snapshots."""
-    registry = MetricsRegistry()
-    assert not registry.enabled
-    with profile_block("decode", registry=registry) as result:
-        pass
-    assert result["elapsed_s"] >= 0.0      # timing works regardless
-    registry.enable()
-    snap = registry.snapshot(include_zero=True)
-    assert "profile_decode_seconds" not in snap["histograms"]
+from repro.telemetry.profiling import time_callable
 
 
 def test_time_callable_returns_best_of_seconds():
