@@ -20,12 +20,13 @@ simulator's main cost regimes:
   jumps between event deadlines instead of ticking every cycle.
 
 Results are written as a ``phantom.bench/1`` document; each workload
-entry carries the fast engine's superblock statistics (blocks compiled,
-mean fused length, invalidations, probe bails, cycles skipped) so a
-perf regression can be localised to the layer that lost coverage.
-Regression comparison is done on the fast/slow *speedup ratio*, not
-absolute IPS: the ratio divides out host speed, so a baseline committed
-from one machine remains meaningful on any other (CI runners included).
+entry carries the fast engine's ``cycles_skipped`` (quiescent cycles
+jumped over instead of ticked).  Regression comparison is done on the
+fast/slow *speedup ratio*, not absolute IPS: the ratio divides out host
+speed, so a baseline committed from one machine remains meaningful on
+any other (CI runners included).  Quick and full runs amortize
+compilation over different iteration counts, so their ratios are only
+compared with a baseline of the same mode.
 """
 
 from __future__ import annotations
@@ -73,9 +74,8 @@ class WorkloadResult:
     instructions: int          # simulated instructions per engine run
     slow_seconds: float
     fast_seconds: float
-    #: Fast-engine superblock/quiescence statistics (see
-    #: :func:`superblock_stats`); None when the fast run predates them.
-    superblocks: dict | None = None
+    #: Quiescent cycles the fast engine skipped; None when unmeasured.
+    cycles_skipped: int | None = None
 
     @property
     def slow_ips(self) -> float:
@@ -100,24 +100,9 @@ class WorkloadResult:
             "fast_ips": round(self.fast_ips, 1),
             "speedup": round(self.speedup, 3),
         }
-        if self.superblocks is not None:
-            out["superblocks"] = self.superblocks
+        if self.cycles_skipped is not None:
+            out["cycles_skipped"] = self.cycles_skipped
         return out
-
-
-def superblock_stats(cpu: CPU) -> dict:
-    """Snapshot the fast engine's fusion/quiescence counters."""
-    compiled = cpu.sb_compiled
-    return {
-        "compiled": compiled,
-        "fused_instructions": cpu.sb_fused_instructions,
-        "mean_length": round(cpu.sb_fused_instructions / compiled, 2)
-        if compiled else 0.0,
-        "invalidated": cpu.sb_invalidated,
-        "probe_bails": cpu.sb_probe_bails,
-        "transient_compiled": cpu.tb_compiled,
-        "cycles_skipped": cpu.cycles_skipped,
-    }
 
 
 # -- workload programs --------------------------------------------------------
@@ -174,8 +159,8 @@ def _branch_heavy(iters: int) -> Assembler:
 
 
 def _run_program(builder, iters: int,
-                 fastpath: bool) -> tuple[int, float, dict]:
-    """Run one user-mode program to HLT; return (instrs, wall, stats)."""
+                 fastpath: bool) -> tuple[int, float, int]:
+    """Run one user-mode program to HLT; (instrs, wall, cycles skipped)."""
     mem = MemorySystem(256 << 20, fastpath=fastpath)
     cpu = CPU(ZEN2, mem, fastpath=fastpath)
     mem.map_anonymous(_STACK - 16 * PAGE_SIZE, 16 * PAGE_SIZE,
@@ -188,12 +173,12 @@ def _run_program(builder, iters: int,
     except HaltRequested:
         pass
     wall = time.perf_counter() - start
-    return cpu.pmc.read("instructions"), wall, superblock_stats(cpu)
+    return cpu.pmc.read("instructions"), wall, cpu.cycles_skipped
 
 
 def _run_syscalls(iters: int,
-                  fastpath: bool) -> tuple[int, float, dict]:
-    """getpid round trips on a booted machine; (instrs, wall, stats).
+                  fastpath: bool) -> tuple[int, float, int]:
+    """getpid round trips on a booted machine; (instrs, wall, skipped).
 
     The engine is selected through the environment toggle the escape
     hatch documents (a :class:`Machine` boots its own memory system),
@@ -218,7 +203,7 @@ def _run_syscalls(iters: int,
         machine.syscall(39)
     wall = time.perf_counter() - start
     return (machine.cpu.pmc.read("instructions") - base, wall,
-            superblock_stats(machine.cpu))
+            machine.cpu.cycles_skipped)
 
 
 def _idle_burst(iters: int) -> Assembler:
@@ -233,7 +218,7 @@ def _idle_burst(iters: int) -> Assembler:
 
 
 def _run_idle_loop(iters: int,
-                   fastpath: bool) -> tuple[int, float, dict]:
+                   fastpath: bool) -> tuple[int, float, int]:
     """Retire bursts separated by event-punctuated quiescent stretches.
 
     Each iteration runs the burst program to HLT, arms two wakeup
@@ -263,7 +248,7 @@ def _run_idle_loop(iters: int,
     if len(fired) != 2 * iters:
         raise AssertionError(
             f"idle_loop: {len(fired)} events fired, expected {2 * iters}")
-    return cpu.pmc.read("instructions"), wall, superblock_stats(cpu)
+    return cpu.pmc.read("instructions"), wall, cpu.cycles_skipped
 
 
 #: Repetitions per engine measurement; the best (minimum) wall wins.
@@ -273,7 +258,7 @@ def _run_idle_loop(iters: int,
 _REPEATS = 3
 
 
-def _best_of(run, *args) -> tuple[int, float, dict]:
+def _best_of(run, *args) -> tuple[int, float, int]:
     best = None
     for _ in range(_REPEATS):
         sample = run(*args)
@@ -288,17 +273,19 @@ def measure(name: str, *, quick: bool = False) -> WorkloadResult:
     iters = small if quick else full
     if name == "syscall":
         slow_instrs, slow_wall, _ = _best_of(_run_syscalls, iters, False)
-        fast_instrs, fast_wall, stats = _best_of(_run_syscalls, iters, True)
+        fast_instrs, fast_wall, skipped = _best_of(_run_syscalls, iters,
+                                                   True)
     elif name == "idle_loop":
         slow_instrs, slow_wall, _ = _best_of(_run_idle_loop, iters, False)
-        fast_instrs, fast_wall, stats = _best_of(_run_idle_loop, iters, True)
+        fast_instrs, fast_wall, skipped = _best_of(_run_idle_loop, iters,
+                                                   True)
     else:
         builder = _straight_line if name == "straight_line" \
             else _branch_heavy
         slow_instrs, slow_wall, _ = _best_of(_run_program, builder,
                                              iters, False)
-        fast_instrs, fast_wall, stats = _best_of(_run_program, builder,
-                                                 iters, True)
+        fast_instrs, fast_wall, skipped = _best_of(_run_program, builder,
+                                                   iters, True)
     if slow_instrs != fast_instrs:
         raise AssertionError(
             f"{name}: engines retired different instruction counts "
@@ -307,7 +294,7 @@ def measure(name: str, *, quick: bool = False) -> WorkloadResult:
     return WorkloadResult(name=name, iterations=iters,
                           instructions=slow_instrs,
                           slow_seconds=slow_wall, fast_seconds=fast_wall,
-                          superblocks=stats)
+                          cycles_skipped=skipped)
 
 
 def run_bench(*, quick: bool = False,
@@ -338,12 +325,19 @@ def compare(doc: dict, baseline: dict, *,
 
     Compares the fast/slow speedup per workload — absolute IPS depends
     on the host, the ratio does not — and flags any workload whose
-    ratio fell more than *tolerance* below the baseline's.
+    ratio fell more than *tolerance* below the baseline's.  A baseline
+    of the other mode (quick vs full) is rejected like a foreign schema:
+    quick runs amortize compilation over fewer iterations, so their
+    ratios are systematically lower.
     """
     if baseline.get("schema") != BENCH_SCHEMA:
         raise ValueError(
             f"baseline is not a {BENCH_SCHEMA} document "
             f"(schema={baseline.get('schema')!r})")
+    if doc.get("quick") != baseline.get("quick"):
+        raise ValueError(
+            f"baseline quick={baseline.get('quick')!r} does not match "
+            f"this run's quick={doc.get('quick')!r}")
     base = {w["name"]: w for w in baseline.get("workloads", [])}
     problems = []
     for entry in doc["workloads"]:
@@ -378,12 +372,6 @@ def is_bench_document(doc: dict) -> bool:
     return isinstance(doc, dict) and doc.get("schema") == BENCH_SCHEMA
 
 
-#: Superblock stat keys in report order (subset shown by summaries).
-_SB_KEYS = ("compiled", "fused_instructions", "mean_length",
-            "invalidated", "probe_bails", "transient_compiled",
-            "cycles_skipped")
-
-
 def summarize_bench(doc: dict) -> str:
     """Human-readable summary of one ``phantom.bench/1`` document."""
     host = doc.get("host", {})
@@ -400,11 +388,8 @@ def summarize_bench(doc: dict) -> str:
             f"{entry['slow_ips']:10,.0f} slow ips  "
             f"{entry['fast_ips']:10,.0f} fast ips  "
             f"{entry['speedup']:6.2f}x")
-        stats = entry.get("superblocks")
-        if stats:
-            detail = "  ".join(f"{key}={stats[key]}" for key in _SB_KEYS
-                               if key in stats)
-            lines.append(f"{'':16s} superblocks: {detail}")
+        if "cycles_skipped" in entry:
+            lines.append(f"{'':16s} cycles_skipped={entry['cycles_skipped']}")
     return "\n".join(lines)
 
 
@@ -423,11 +408,7 @@ def diff_bench(a: dict, b: dict) -> str:
         delta = wb["speedup"] - wa["speedup"]
         lines.append(f"{name:16s} {wa['speedup']:9.2f}x {wb['speedup']:9.2f}x "
                      f"{delta:+7.2f}x")
-        sa, sb = wa.get("superblocks") or {}, wb.get("superblocks") or {}
-        changed = [key for key in _SB_KEYS
-                   if key in sa and key in sb and sa[key] != sb[key]]
-        if changed:
-            detail = "  ".join(f"{key} {sa[key]} -> {sb[key]}"
-                               for key in changed)
-            lines.append(f"{'':16s} superblocks: {detail}")
+        sa, sb = wa.get("cycles_skipped"), wb.get("cycles_skipped")
+        if sa is not None and sb is not None and sa != sb:
+            lines.append(f"{'':16s} cycles_skipped {sa} -> {sb}")
     return "\n".join(lines)

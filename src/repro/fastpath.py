@@ -2,7 +2,7 @@
 
 The simulator ships two architecturally identical execution engines: the
 naive per-step interpreter and a fast path built on compiled step thunks,
-superblock compilation and translation memoization (see
+decode and translation memoization and quiescence skipping (see
 ``docs/performance.md``).  The ``PHANTOM_REPRO_FASTPATH`` environment
 variable selects the engine at *construction* time — ``CPU``/
 ``MemorySystem`` read it once when built, so flipping the variable
@@ -13,10 +13,9 @@ Accepted values:
 * unset, ``1`` or anything not listed below — fast path fully on;
 * ``0`` / ``false`` / ``off`` / ``no`` — naive path (the
   differential-testing oracle);
-* a comma-separated flag list selectively disabling fast-path layers
-  while keeping the rest: ``superblocks=0`` (step thunks only, no
-  superblock fusion), ``quiesce=0`` (ticked idle instead of
-  event-skipped), or both (``superblocks=0,quiesce=0``).
+* ``quiesce=0`` — fast path with ticked idle instead of event-skipped
+  (the only selectively disabled layer; unknown flags such as the
+  retired ``superblocks=0`` leave the fast path fully on).
 """
 
 from __future__ import annotations
@@ -28,23 +27,18 @@ ENV_VAR = "PHANTOM_REPRO_FASTPATH"
 
 _DISABLED = ("0", "false", "off", "no")
 
-#: Flags the selective syntax understands.
-_FLAGS = ("superblocks", "quiesce")
-
 
 @dataclass(frozen=True)
 class FastpathConfig:
     """Parsed engine selection.
 
-    ``enabled`` picks the engine; the layer flags only matter when the
-    fast path is on (the naive engine never fuses superblocks, and both
-    engines must agree on idle semantics — quiescence skipping is
-    behaviour-neutral by construction, pinned by
+    ``enabled`` picks the engine; ``quiesce`` only matters when the fast
+    path is on (both engines must agree on idle semantics — quiescence
+    skipping is behaviour-neutral by construction, pinned by
     ``tests/pipeline/test_quiescence.py``).
     """
 
     enabled: bool = True
-    superblocks: bool = True
     quiesce: bool = True
 
 
@@ -56,24 +50,15 @@ def parse_fastpath(value: str | None) -> FastpathConfig:
     if not text:
         return FastpathConfig()
     if text in _DISABLED:
-        return FastpathConfig(enabled=False, superblocks=False,
-                              quiesce=False)
-    flags = {"superblocks": True, "quiesce": True}
-    saw_flag = False
+        return FastpathConfig(enabled=False, quiesce=False)
+    # Anything not explicitly disabling enables the fast path; only a
+    # ``quiesce=`` flag in a comma-separated list turns a layer off.
+    quiesce = True
     for part in text.split(","):
-        part = part.strip()
-        if "=" not in part:
-            continue
-        name, _, raw = part.partition("=")
-        name = name.strip()
-        if name in _FLAGS:
-            saw_flag = True
-            flags[name] = raw.strip() not in _DISABLED
-    if not saw_flag and text != "1":
-        # Unknown non-flag value: historical behaviour is "anything not
-        # explicitly disabling enables the fast path".
-        return FastpathConfig()
-    return FastpathConfig(enabled=True, **flags)
+        name, sep, raw = part.partition("=")
+        if sep and name.strip() == "quiesce":
+            quiesce = raw.strip() not in _DISABLED
+    return FastpathConfig(quiesce=quiesce)
 
 
 def fastpath_config() -> FastpathConfig:

@@ -178,10 +178,11 @@ class BTB:
         self._sets: dict[int, "OrderedDict[int, BTBEntry]"] = {}
         self._hash_cache: dict[tuple[int, bool], tuple[int, int]] = {}
         #: Every ``(set, tag)`` currently holding an entry.  Mirror of
-        #: ``_sets`` maintained at all mutation points so the superblock
-        #: engine can test a block's key footprint against the live
-        #: population with one set intersection instead of re-scanning
-        #: each byte (see :meth:`block_keys`).
+        #: ``_sets`` maintained at all mutation points so the fast
+        #: engine's step thunks and transient walk can test an
+        #: instruction's key footprint against the live population with
+        #: one set intersection instead of re-scanning each byte (see
+        #: :meth:`block_keys`).
         self.live_keys: set[tuple[int, int]] = set()
         self.installs = 0
         self.hits = 0
@@ -295,13 +296,13 @@ class BTB:
         """The ``(set, tag)`` footprint of a code block's byte addresses.
 
         The footprint is a pure function of the address range and the
-        hash functions — independent of BTB contents — so the superblock
-        engine computes it once at compile time and later decides
-        "would :meth:`scan_block` find anything?" by intersecting with
-        :attr:`live_keys`.  Matching in key space rather than stored-pc
-        space is what keeps aliasing (the Phantom mechanism) visible: a
-        trainer at an unrelated va that hashes onto one of these keys
-        must still force the block onto the scanning slow path.
+        hash functions — independent of BTB contents — so the fast
+        engine computes it once per compiled instruction and later
+        decides "would :meth:`scan_block` find anything?" by
+        intersecting with :attr:`live_keys`.  Matching in key space
+        rather than stored-pc space is what keeps aliasing (the Phantom
+        mechanism) visible: a trainer at an unrelated va that hashes
+        onto one of these keys must still force the scanning path.
         """
         cache = self._hash_cache
         index = self.indexing.index

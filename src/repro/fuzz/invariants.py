@@ -188,38 +188,13 @@ def check_cache_coherence(world: World) -> list[Violation]:
     for label, cache in (("decode", cpu._decode_cache),
                          ("step-user", cpu._step_cache_user),
                          ("step-kernel", cpu._step_cache_kernel),
-                         ("transient", cpu._transient_cache),
-                         ("superblock-user", cpu._sb_user),
-                         ("superblock-kernel", cpu._sb_kernel),
-                         ("transient-block-user", cpu._tb_user),
-                         ("transient-block-kernel", cpu._tb_kernel)):
+                         ("transient", cpu._transient_cache)):
         missing = set(cache) - indexed
         for pc in sorted(missing):
             violations.append(Violation(
                 "stale-cache",
                 f"{label} cache holds pc {pc:#x} not indexed for "
                 f"invalidation"))
-
-    # Block-index coverage: every interior pc of a live (super|transient)
-    # block must map back to its head through the block index, or a
-    # mid-block write would retire the head entry but leave the block
-    # serving fused stale bytes.
-    for label, caches, index in (
-            ("superblock",
-             ((False, cpu._sb_user), (True, cpu._sb_kernel)),
-             cpu._sb_index),
-            ("transient-block",
-             ((False, cpu._tb_user), (True, cpu._tb_kernel)),
-             cpu._tb_index)):
-        owned = {(kernel, head)
-                 for owners in index.values() for kernel, head in owners}
-        for kernel, cache in caches:
-            for head, entry in cache.items():
-                if entry is not None and (kernel, head) not in owned:
-                    violations.append(Violation(
-                        "stale-cache",
-                        f"{label} at {head:#x} (kernel={kernel}) has no "
-                        f"interior-pc index entries"))
     return violations
 
 

@@ -7,9 +7,7 @@ compares the full :class:`~repro.fuzz.harness.Observables` — cycles,
 registers, flags, PMC snapshot, episode list, data digest, outcome.
 The naive run carries the PMC-monotonicity hook (architecturally
 invisible, so hooked-slow vs unhooked-fast still has to match — the
-comparison doubles as a test of that claim); it rides the slow engine
-because superblock dispatch steps aside while a per-instruction hook
-is attached, and the oracle's fast run must exercise the fused path.
+comparison doubles as a test of that claim).
 Both worlds are then subjected to the post-run invariant checks from
 :mod:`repro.fuzz.invariants`.
 
@@ -97,10 +95,7 @@ def check_program(program: FuzzProgram,
         # bound to its CPU before the first instruction retires.  The
         # hook rides the *naive* engine: it is architecturally passive
         # (hooked-slow vs unhooked-fast still has to match — the
-        # comparison doubles as a test of that claim), and the fast
-        # engine must run bare because superblock dispatch steps aside
-        # whenever a per-instruction hook is observing — a hooked fast
-        # run would silently stop exercising the fused path.
+        # comparison doubles as a test of that claim).
         slow_world = build_world(program, uarch, fastpath=False)
         slow_world.cpu.record_episodes = True
         hook = PMCMonotoneHook(slow_world.cpu)

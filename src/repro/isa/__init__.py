@@ -4,9 +4,8 @@ from .assembler import Assembler, Image, Segment
 from .decoder import MAX_INSTR_BYTES, decode, decode_cached
 from .encoder import NOPL_SEQUENCES, encode, encode_with_length
 from .instructions import BranchKind, Cond, Instruction, Mnemonic, Reg
-from .semantics import (SUPERBLOCK_FUSIBLE, ArchState, ExecResult, Flags,
-                        MemAccess, compile_executor, compile_superblock,
-                        condition_met, execute, superblock_fusible)
+from .semantics import (ArchState, ExecResult, Flags, MemAccess,
+                        compile_executor, condition_met, execute)
 from .uops import Uop, UopKind, crack, uop_count
 
 __all__ = [
@@ -23,12 +22,10 @@ __all__ = [
     "Mnemonic",
     "NOPL_SEQUENCES",
     "Reg",
-    "SUPERBLOCK_FUSIBLE",
     "Segment",
     "Uop",
     "UopKind",
     "compile_executor",
-    "compile_superblock",
     "condition_met",
     "crack",
     "decode",
@@ -36,6 +33,5 @@ __all__ = [
     "encode",
     "encode_with_length",
     "execute",
-    "superblock_fusible",
     "uop_count",
 ]

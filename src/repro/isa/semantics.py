@@ -688,234 +688,3 @@ def compile_executor(instr: Instruction, pc: int) -> ExecutorFn:
         return thunk
     raise AssertionError(f"unhandled mnemonic {m}")
 
-
-# ---------------------------------------------------------------------------
-# superblock compilation
-# ---------------------------------------------------------------------------
-
-#: Mnemonics a superblock may fuse: straight-line architectural effects
-#: only.  Branches terminate blocks (they resolve/train the BPU), traps
-#: and serializing fences end them (they leave the straight-line world),
-#: and RDTSC is excluded because it observes ``cycles`` mid-block while
-#: the block batches its cycle accounting.
-SUPERBLOCK_FUSIBLE = frozenset((
-    Mnemonic.NOP, Mnemonic.NOPL, Mnemonic.MOV_RI, Mnemonic.MOV_RR,
-    Mnemonic.MOV_RM, Mnemonic.MOVB_RM, Mnemonic.MOV_MR, Mnemonic.LEA,
-    Mnemonic.ADD_RI, Mnemonic.ADD_RR, Mnemonic.SUB_RI, Mnemonic.SUB_RR,
-    Mnemonic.CMP_RI, Mnemonic.CMP_RR, Mnemonic.TEST_RR, Mnemonic.INC,
-    Mnemonic.DEC, Mnemonic.NEG, Mnemonic.NOT, Mnemonic.IMUL_RR,
-    Mnemonic.XCHG_RR, Mnemonic.CMOV, Mnemonic.AND_RI, Mnemonic.XOR_RR,
-    Mnemonic.OR_RR, Mnemonic.SHL_RI, Mnemonic.SHR_RI, Mnemonic.PUSH,
-    Mnemonic.POP,
-))
-
-
-def superblock_fusible(instr: Instruction) -> bool:
-    """True when *instr* can be fused into the body of a superblock."""
-    return instr.mnemonic in SUPERBLOCK_FUSIBLE
-
-
-#: Names the generated superblock source expects in its globals —
-#: callers weaving :func:`superblock_arch_lines` into their own
-#: generated functions (the CPU's superblock engine) must merge these
-#: into the exec namespace.  Shared read-only by every generated
-#: function.
-SUPERBLOCK_HELPERS = {
-    "MASK64": MASK64,
-    "canonical": canonical,
-    "_af": _set_add_flags,
-    "_sf": _set_sub_flags,
-    "_sg": _signed,
-}
-
-#: Python literal of 2**63, used for the inline sign-flag test
-#: (``value >= _B63`` is bit 63 for already-masked values).
-_B63 = "0x8000000000000000"
-
-
-def _logic_flag_lines(result: str) -> list[str]:
-    """Inline equivalent of :func:`_set_logic_flags` for a masked value."""
-    return [
-        f"flags.zf = {result} == 0",
-        f"flags.sf = {result} >= {_B63}",
-        "flags.cf = False",
-        "flags.of = False",
-    ]
-
-
-def superblock_arch_lines(instr: Instruction, pc: int, index: int,
-                          consts: dict) -> list[str]:
-    """Source lines for the architectural effect of one fused instruction.
-
-    The emitted statements are the body :func:`compile_executor` would
-    run for *instr*, with operand indices and immediates baked in as
-    literals.  They assume local names ``regs``, ``flags``, ``load``,
-    ``store`` and the helper globals of ``_SB_GLOBALS``; per-instruction
-    constants that cannot be literals (condition evaluators) are added
-    to *consts* under an index-suffixed name.  Ordering of register
-    writes relative to loads/stores matches the executor thunks exactly,
-    so a fault mid-instruction leaves identical architectural state.
-    """
-    m = instr.mnemonic
-    d = None if instr.dest is None else int(instr.dest)
-    s = None if instr.src is None else int(instr.src)
-    b = None if instr.base is None else int(instr.base)
-    disp = instr.disp
-
-    if m in (Mnemonic.NOP, Mnemonic.NOPL):
-        return []
-    if m is Mnemonic.MOV_RI:
-        return [f"regs[{d}] = {instr.imm & MASK64:#x}"]
-    if m is Mnemonic.MOV_RR:
-        return [f"regs[{d}] = regs[{s}]"]
-    if m is Mnemonic.MOV_RM:
-        return [f"regs[{d}] = load(canonical(regs[{b}] + {disp}), 8) "
-                f"& MASK64"]
-    if m is Mnemonic.MOVB_RM:
-        return [f"regs[{d}] = load(canonical(regs[{b}] + {disp}), 1) "
-                f"& 0xFF"]
-    if m is Mnemonic.MOV_MR:
-        return [f"store(canonical(regs[{b}] + {disp}), 8, regs[{s}])"]
-    if m is Mnemonic.LEA:
-        return [f"regs[{d}] = canonical(regs[{b}] + {disp})"]
-    if m in (Mnemonic.ADD_RI, Mnemonic.ADD_RR):
-        src = f"{instr.imm & MASK64:#x}" if m is Mnemonic.ADD_RI \
-            else f"regs[{s}]"
-        return [
-            f"_x = regs[{d}]",
-            f"_r = _x + {src}",
-            f"_af(flags, _x, {src}, _r)",
-            f"regs[{d}] = _r & MASK64",
-        ]
-    if m in (Mnemonic.SUB_RI, Mnemonic.SUB_RR, Mnemonic.CMP_RI,
-             Mnemonic.CMP_RR):
-        src = f"{instr.imm & MASK64:#x}" \
-            if m in (Mnemonic.SUB_RI, Mnemonic.CMP_RI) else f"regs[{s}]"
-        lines = [
-            f"_x = regs[{d}]",
-            f"_r = (_x - {src}) & MASK64",
-            f"_sf(flags, _x, {src}, _r)",
-        ]
-        if m in (Mnemonic.SUB_RI, Mnemonic.SUB_RR):
-            lines.append(f"regs[{d}] = _r")
-        return lines
-    if m is Mnemonic.TEST_RR:
-        return [f"_r = regs[{d}] & regs[{s}]"] + _logic_flag_lines("_r")
-    if m is Mnemonic.INC:
-        return [
-            f"_x = regs[{d}]",
-            "_c = flags.cf",
-            "_af(flags, _x, 1, _x + 1)",
-            "flags.cf = _c",
-            f"regs[{d}] = (_x + 1) & MASK64",
-        ]
-    if m is Mnemonic.DEC:
-        return [
-            f"_x = regs[{d}]",
-            "_r = (_x - 1) & MASK64",
-            "_c = flags.cf",
-            "_sf(flags, _x, 1, _r)",
-            "flags.cf = _c",
-            f"regs[{d}] = _r",
-        ]
-    if m is Mnemonic.NEG:
-        return [
-            f"_x = regs[{d}]",
-            "_r = (-_x) & MASK64",
-            "_sf(flags, 0, _x, _r)",
-            "flags.cf = _x != 0",
-            f"regs[{d}] = _r",
-        ]
-    if m is Mnemonic.NOT:
-        return [f"regs[{d}] = ~regs[{d}] & MASK64"]
-    if m is Mnemonic.IMUL_RR:
-        return [
-            f"_p = _sg(regs[{d}]) * _sg(regs[{s}])",
-            "_r = _p & MASK64",
-            "flags.cf = flags.of = _p != _sg(_r)",
-            "flags.zf = _r == 0",
-            f"flags.sf = _r >= {_B63}",
-            f"regs[{d}] = _r",
-        ]
-    if m is Mnemonic.XCHG_RR:
-        return [
-            f"_x = regs[{d}]",
-            f"regs[{d}] = regs[{s}]",
-            f"regs[{s}] = _x",
-        ]
-    if m is Mnemonic.CMOV:
-        cond_name = f"_cc{index}"
-        consts[cond_name] = _COND_EVAL[instr.cc]
-        return [f"if {cond_name}(flags):",
-                f"    regs[{d}] = regs[{s}]"]
-    if m is Mnemonic.AND_RI:
-        return [f"_r = regs[{d}] & {instr.imm & MASK64:#x}"] \
-            + _logic_flag_lines("_r") + [f"regs[{d}] = _r"]
-    if m in (Mnemonic.XOR_RR, Mnemonic.OR_RR):
-        op = "^" if m is Mnemonic.XOR_RR else "|"
-        return [f"_r = regs[{d}] {op} regs[{s}]"] \
-            + _logic_flag_lines("_r") + [f"regs[{d}] = _r"]
-    if m is Mnemonic.SHL_RI:
-        return [f"_r = (regs[{d}] << {instr.imm}) & MASK64"] \
-            + _logic_flag_lines("_r") + [f"regs[{d}] = _r"]
-    if m is Mnemonic.SHR_RI:
-        return [f"_r = regs[{d}] >> {instr.imm}"] \
-            + _logic_flag_lines("_r") + [f"regs[{d}] = _r"]
-    if m is Mnemonic.PUSH:
-        return [
-            f"_a = (regs[{_RSP}] - 8) & MASK64",
-            f"regs[{_RSP}] = _a",
-            f"store(_a, 8, regs[{d}])",
-        ]
-    if m is Mnemonic.POP:
-        return [
-            f"_a = regs[{_RSP}]",
-            f"regs[{d}] = load(_a, 8) & MASK64",
-            f"regs[{_RSP}] = (_a + 8) & MASK64",
-        ]
-    raise AssertionError(f"mnemonic {m} is not superblock-fusible")
-
-
-#: ``fn(state, load, store) -> next_pc``
-SuperblockFn = Callable[[ArchState, LoadFn, StoreFn], int]
-
-
-def compile_superblock(instrs: list[tuple[int, Instruction]]) -> SuperblockFn:
-    """Fuse a straight-line run of decoded instructions into one closure.
-
-    *instrs* is a list of ``(pc, instruction)`` pairs forming a
-    contiguous fall-through run; every instruction must satisfy
-    :func:`superblock_fusible`.  The returned function applies all
-    architectural effects in order — register writes, flag updates and
-    load/store traffic byte-identical to executing the thunks of
-    :func:`compile_executor` one by one (pinned by
-    ``tests/isa/test_superblock_semantics.py``) — and returns the
-    canonical fall-through pc of the final instruction.  Branch
-    direction, trap and ``accesses`` bookkeeping are not produced:
-    fusible instructions have none.
-
-    The pipeline's superblock engine (``pipeline/cpu.py``) uses
-    :func:`superblock_arch_lines` directly to weave these effects with
-    the frontend accounting; this entry point is the pure-architecture
-    fusion, used by its unit tests and by callers that only need
-    register semantics.
-    """
-    if not instrs:
-        raise ValueError("cannot fuse an empty superblock")
-    consts: dict = dict(SUPERBLOCK_HELPERS)
-    lines = [
-        "def _superblock(state, load, store):",
-        "    regs = state.regs",
-        "    flags = state.flags",
-    ]
-    for index, (pc, instr) in enumerate(instrs):
-        if not superblock_fusible(instr):
-            raise ValueError(f"{instr.mnemonic} at {pc:#x} is not fusible")
-        for line in superblock_arch_lines(instr, pc, index, consts):
-            lines.append("    " + line)
-    last_pc, last = instrs[-1]
-    end_pc = canonical((last_pc + last.length) & MASK64)
-    lines.append(f"    return {end_pc:#x}")
-    namespace: dict = consts
-    exec(compile("\n".join(lines), "<superblock>", "exec"), namespace)
-    return namespace["_superblock"]

@@ -46,24 +46,15 @@ results (cycles, PMCs, episodes — pinned by the differential tests):
   allocation and attribute traffic is removed, which is what keeps the
   fast path architecturally invisible.
 
-On top of the step thunks the fast path fuses **superblocks**:
-straight-line runs of fusible instructions (no branches, traps, fences
-or rdtsc) compiled into one generated function with a single entry
-guard — a pure BTB probe of the block's (set, tag) footprint against
-the live predictor keys.  A probe hit bails to the per-step path so
-phantom episodes replay exactly; a miss proves the whole run is
-prediction-free and executes it with batched counter accounting.
-Blocks are retired whole by :meth:`CPU.invalidate_code` (writes landing
-anywhere inside the block, via the interior-pc index) and wholesale
-when the page-table generation moves.  Quiescent stretches
-(:meth:`CPU.idle`) are advanced by an event scheduler that jumps
-between deadlines instead of ticking (see ``pipeline/sched.py``).
+Quiescent stretches (:meth:`CPU.idle`) are advanced by an event
+scheduler that jumps between deadlines instead of ticking (see
+``pipeline/sched.py``).
 
-``PHANTOM_REPRO_FASTPATH=0`` selects the naive path;
-``superblocks=0``/``quiesce=0`` disable individual fast-path layers
-(see ``docs/performance.md``).  Step thunks are dropped by
-:meth:`CPU.invalidate_code`; privilege is part of the cache key, so
-kernel and user executions of the same bytes never share a thunk.
+``PHANTOM_REPRO_FASTPATH=0`` selects the naive path; ``quiesce=0``
+keeps the fast path with ticked idle (see ``docs/performance.md``).
+Step thunks are dropped by :meth:`CPU.invalidate_code`; privilege is
+part of the cache key, so kernel and user executions of the same bytes
+never share a thunk.
 """
 
 from __future__ import annotations
@@ -77,10 +68,9 @@ from ..errors import (DecodeError, HaltRequested, PageFault, ReproError,
                       SimulationLimit, TruncatedError)
 from ..fastpath import fastpath_config
 from ..frontend import BPU, Prediction, UopCache
-from ..isa import (MAX_INSTR_BYTES, SUPERBLOCK_FUSIBLE, ArchState,
-                   BranchKind, Instruction, Mnemonic, compile_executor,
-                   decode, decode_cached, execute, uop_count)
-from ..isa.semantics import SUPERBLOCK_HELPERS, superblock_arch_lines
+from ..isa import (MAX_INSTR_BYTES, ArchState, BranchKind, Instruction,
+                   Mnemonic, compile_executor, decode, decode_cached,
+                   execute, uop_count)
 from ..memory import MemorySystem
 from ..params import MASK64, PAGE_SHIFT, PAGE_SIZE, canonical
 from ..telemetry import metrics as _metrics
@@ -126,12 +116,6 @@ _TRAP_MNEMONICS = frozenset((Mnemonic.SYSCALL, Mnemonic.SYSRET,
 #: Step/transient-cache miss sentinel (``None`` is a valid cached value
 #: in the transient cache: "bytes at this pc do not decode").
 _UNCOMPILED = object()
-
-#: Superblock sizing: fusion needs enough instructions to amortize the
-#: entry probe; the cap bounds generated-code size and the span one
-#: invalidation can retire.
-_SB_MIN_INSTRS = 3
-_SB_MAX_INSTRS = 64
 
 
 class Reach(enum.IntEnum):
@@ -204,7 +188,6 @@ class CPU:
     def __init__(self, uarch: Microarch, mem: MemorySystem,
                  rng: random.Random | None = None,
                  fastpath: bool | None = None, *,
-                 superblocks: bool | None = None,
                  quiesce: bool | None = None) -> None:
         self.uarch = uarch
         self.mem = mem
@@ -227,16 +210,12 @@ class CPU:
         self._decode_cache: dict[int, Instruction] = {}
         #: Engine selection; defaults to the memory system's, so one
         #: PHANTOM_REPRO_FASTPATH read governs the whole machine.  The
-        #: layer flags (superblock fusion, quiescence skipping) default
-        #: to the environment's selective syntax and only apply when the
-        #: fast path itself is on.
+        #: quiescence-skipping flag defaults to the environment's
+        #: selective syntax and only applies when the fast path itself
+        #: is on.
         self._fastpath = mem.fastpath if fastpath is None else bool(fastpath)
-        _config = fastpath_config()
-        self._superblocks = self._fastpath and (
-            _config.superblocks if superblocks is None
-            else bool(superblocks))
         self._quiesce = self._fastpath and (
-            _config.quiesce if quiesce is None else bool(quiesce))
+            fastpath_config().quiesce if quiesce is None else bool(quiesce))
         #: Byte-window decode memo on the fast path; the naive engine
         #: decodes every time, so it stays the uncached oracle.
         self._decode = decode_cached if self._fastpath else decode
@@ -258,35 +237,15 @@ class CPU:
         #: Page -> pcs with any cached artifact on that page, so
         #: invalidate_code touches only the affected pages.
         self._code_pages: dict[int, set[int]] = {}
-        #: Superblock caches: head pc -> (instruction count, dispatch
-        #: fn), or None for heads pinned unfusible/too short; split per
-        #: privilege like the step caches.  Valid only for the
-        #: page-table generation they were compiled under.
-        self._sb_user: dict[int, tuple[int, Callable[[], int]] | None] = {}
-        self._sb_kernel: dict[int, tuple[int, Callable[[], int]] | None] = {}
-        #: pc -> {(kernel_mode, head_pc)} of every block containing that
-        #: pc, so invalidate_code retires whole blocks from writes that
-        #: land mid-block (the split/retire contract).
-        self._sb_index: dict[int, set[tuple[bool, int]]] = {}
-        self._sb_gen = mem.aspace.generation
-        #: Transient superblocks: the same fusion, compiled against the
-        #: *transient* load/store callbacks and guarded by one whole-run
-        #: BTB probe (sound because branches only train at retirement,
-        #: so the BTB is static for an entire speculative window).  Head
-        #: pc -> (µop count, fall-through pc, fn) or None, split per
-        #: privilege; indexed for invalidation like ``_sb_index``.
-        self._tb_user: dict[int, tuple[int, int, Callable] | None] = {}
-        self._tb_kernel: dict[int, tuple[int, int, Callable] | None] = {}
-        self._tb_index: dict[int, set[tuple[bool, int]]] = {}
-        #: Superblock/quiescence statistics.  Plain attributes, *not*
-        #: metrics counters: only the fast engine compiles blocks, and
-        #: engine manifests must stay fingerprint-identical.
-        self.sb_compiled = 0
-        self.sb_fused_instructions = 0
-        self.sb_invalidated = 0
-        self.sb_probe_bails = 0
-        self.tb_compiled = 0
+        #: Quiescence statistic.  A plain attribute, *not* a metrics
+        #: counter: only the fast engine skips cycles, and engine
+        #: manifests must stay fingerprint-identical.
         self.cycles_skipped = 0
+        #: Always zero: the code-fusion layer that counted these is
+        #: gone, but the paper-experiment benchmark's tracer
+        #: (``perfbench/tracer.py``) still reads them by name.  Delete
+        #: them once the tracer stops doing so.
+        self.sb_compiled = self.sb_invalidated = self.tb_compiled = 0
         #: Deferred-event scheduler driving :meth:`idle`.
         self.sched = EventScheduler()
         self._m_phantom = _metrics.counter("speculation_episodes",
@@ -301,16 +260,12 @@ class CPU:
     def invalidate_code(self, lo: int, hi: int) -> None:
         """Drop cached artifacts overlapping [lo, hi) (self-modifying code).
 
-        Removes decoded instructions, compiled step thunks, superblocks
-        and transient decode entries whose bytes may intersect the
-        written range, and invalidates the µop-cache windows covering it
-        — µops cracked from the old bytes must not serve hits after a
-        code rewrite.  Cached pcs are indexed by page, so the walk
-        touches only the pages the write spans instead of scanning every
-        cached decode.  A write landing mid-superblock retires the whole
-        owning block (looked up through ``_sb_index``); the next
-        dispatch at its head recompiles over whatever decodes survive,
-        which is how blocks split around rewritten bytes.
+        Removes decoded instructions, compiled step thunks and transient
+        decode entries whose bytes may intersect the written range, and
+        invalidates the µop-cache windows covering it — µops cracked
+        from the old bytes must not serve hits after a code rewrite.
+        Cached pcs are indexed by page, so the walk touches only the
+        pages the write spans instead of scanning every cached decode.
         """
         if hi <= lo:
             return
@@ -318,12 +273,6 @@ class CPU:
         step_user = self._step_cache_user
         step_kernel = self._step_cache_kernel
         transient = self._transient_cache
-        sb_user = self._sb_user
-        sb_kernel = self._sb_kernel
-        sb_index = self._sb_index
-        tb_user = self._tb_user
-        tb_kernel = self._tb_kernel
-        tb_index = self._tb_index
         code_pages = self._code_pages
         lo_reach = lo - MAX_INSTR_BYTES
         for page in range((lo_reach + 1) >> PAGE_SHIFT,
@@ -338,22 +287,6 @@ class CPU:
                 step_user.pop(pc, None)
                 step_kernel.pop(pc, None)
                 transient.pop(pc, None)
-                owners = sb_index.pop(pc, None)
-                if owners:
-                    for kernel, head in owners:
-                        target = sb_kernel if kernel else sb_user
-                        if target.pop(head, None) is not None:
-                            self.sb_invalidated += 1
-                sb_user.pop(pc, None)
-                sb_kernel.pop(pc, None)
-                owners = tb_index.pop(pc, None)
-                if owners:
-                    for kernel, head in owners:
-                        target = tb_kernel if kernel else tb_user
-                        if target.pop(head, None) is not None:
-                            self.sb_invalidated += 1
-                tb_user.pop(pc, None)
-                tb_kernel.pop(pc, None)
             if not pcs:
                 del code_pages[page]
         line = (lo_reach + 1) & ~63
@@ -447,9 +380,7 @@ class CPU:
         """Run until ``hlt`` (raises HaltRequested) or the budget expires."""
         if pc is not None:
             self.pc = canonical(pc)
-        if self._fastpath and self._superblocks:
-            self._run_superblocks(max_instructions)
-        elif self._fastpath:
+        if self._fastpath:
             user_cache = self._step_cache_user
             kernel_cache = self._step_cache_kernel
             for _ in range(max_instructions):
@@ -464,56 +395,6 @@ class CPU:
                 self._step_slow()
         raise SimulationLimit(
             f"exceeded {max_instructions} instructions at pc={self.pc:#x}")
-
-    def _run_superblocks(self, max_instructions: int) -> None:
-        """The fused-dispatch run loop of the superblock engine.
-
-        Per iteration: try the superblock cache for the current pc and,
-        when a block is installed, its probe passes and its instruction
-        count fits the remaining budget, consume the whole block in one
-        call; otherwise fall back to exactly one per-step thunk.  The
-        budget is decremented by real instructions retired, so the
-        "limit" outcome fires after precisely *max_instructions* steps —
-        identical to the per-step loops.  Superblock dispatch is skipped
-        while a per-instruction hook or retire tracing is active (both
-        observe individual steps) and whenever the page-table generation
-        moved (remaps change which bytes live at a pc; the caches are
-        cleared wholesale, mirroring the transient cache).
-        """
-        user_cache = self._step_cache_user
-        kernel_cache = self._step_cache_kernel
-        sb_user = self._sb_user
-        sb_kernel = self._sb_kernel
-        aspace = self.mem.aspace
-        remaining = max_instructions
-        while remaining > 0:
-            if self.instr_hook is None and not _TRACE.enabled:
-                if self._sb_gen != aspace.generation:
-                    sb_user.clear()
-                    sb_kernel.clear()
-                    self._sb_index.clear()
-                    self._sb_gen = aspace.generation
-                kernel_mode = self.kernel_mode
-                sbc = sb_kernel if kernel_mode else sb_user
-                pc_now = self.pc
-                entry = sbc.get(pc_now, _UNCOMPILED)
-                if entry is _UNCOMPILED:
-                    entry = self._compile_superblock_at(pc_now, sbc,
-                                                        kernel_mode)
-                if entry is not None:
-                    n, fn = entry
-                    if n <= remaining:
-                        done = fn()
-                        if done:
-                            remaining -= done
-                            continue
-            cache = kernel_cache if self.kernel_mode else user_cache
-            thunk = cache.get(self.pc)
-            if thunk is not None:
-                thunk()
-            else:
-                self._step_and_compile(cache)
-            remaining -= 1
 
     def step(self) -> None:
         """Execute one architectural instruction (plus its episodes)."""
@@ -642,10 +523,12 @@ class CPU:
         sls_candidate = kind in _SLS_KINDS
         can_trap = instr.mnemonic in _TRAP_MNEMONICS
         text = str(instr)
-        # Pure pre-probe (same argument as _fuse_superblock): the
-        # instruction's (set, tag) footprint is a static function of its
-        # address range, and predict_in_block on a full miss returns
-        # None with zero side effects.  Intersecting the footprint with
+        # Pure pre-probe: the instruction's (set, tag) footprint — every
+        # byte address it spans, hashed exactly as ``scan_block`` would —
+        # is a static function of its address range, and
+        # predict_in_block on a full miss returns None with zero side
+        # effects.  The probe is in key space, not stored-pc space, so
+        # aliasing trainers still hit.  Intersecting the footprint with
         # the BTB's live key set — re-read every step, so training and
         # eviction are seen immediately — skips the per-byte scan for
         # the overwhelmingly common untrained pc.
@@ -688,279 +571,6 @@ class CPU:
             cpu.pc = canonical(result.next_pc)
 
         return step_thunk
-
-    # ------------------------------------------------------------------
-    # superblock compilation
-    # ------------------------------------------------------------------
-
-    def _compile_superblock_at(self, head: int, sbc: dict,
-                               kernel_mode: bool):
-        """Try to fuse a superblock headed at *head*; returns the cache
-        entry ``(instruction count, dispatch fn)`` or None.
-
-        Compilation is lazy and decode-cache driven: a head that has not
-        been decoded yet returns None *without* caching a verdict (the
-        step path warms the decode cache on the first pass; once-through
-        code never pays for fusion), while a head whose straight-line
-        run is pinned too short by decoded bytes is marked None so the
-        dispatch loop never re-walks it.  The run extends while
-        instructions are decoded, fusible and *start* on the head's page
-        (the final instruction's bytes may straddle into the next page —
-        ``invalidate_code``'s reach-back covers that overhang), up to
-        ``_SB_MAX_INSTRS``.
-        """
-        decode_cache = self._decode_cache
-        instr = decode_cache.get(head)
-        if instr is None:
-            return None
-        if instr.mnemonic not in SUPERBLOCK_FUSIBLE:
-            sbc[head] = None
-            return None
-        page = head >> PAGE_SHIFT
-        run: list[tuple[int, Instruction]] = []
-        pc = head
-        stopped_undecoded = False
-        while True:
-            run.append((pc, instr))
-            if len(run) == _SB_MAX_INSTRS:
-                break
-            pc = canonical((pc + instr.length) & MASK64)
-            if pc >> PAGE_SHIFT != page:
-                break
-            instr = decode_cache.get(pc)
-            if instr is None:
-                stopped_undecoded = True
-                break
-            if instr.mnemonic not in SUPERBLOCK_FUSIBLE:
-                break
-        if len(run) < _SB_MIN_INSTRS:
-            if not stopped_undecoded:
-                sbc[head] = None
-            return None
-        if _SPANS.enabled:
-            with _SPANS.span("fastpath:superblock", pc=hex(head),
-                             instructions=len(run)):
-                entry = self._fuse_superblock(head, run, kernel_mode)
-        else:
-            entry = self._fuse_superblock(head, run, kernel_mode)
-        sbc[head] = entry
-        sb_index = self._sb_index
-        key = (kernel_mode, head)
-        for pc, _ in run:
-            owners = sb_index.get(pc)
-            if owners is None:
-                owners = sb_index[pc] = set()
-            owners.add(key)
-        self.sb_compiled += 1
-        self.sb_fused_instructions += len(run)
-        return entry
-
-    def _fuse_superblock(self, head: int, run: list,
-                         kernel_mode: bool) -> tuple:
-        """Generate the fused dispatch function for one superblock.
-
-        The function's entry guard is a pure BTB probe: the block's
-        ``(set, tag)`` footprint — every byte address it spans, hashed
-        exactly as ``scan_block`` would — against the BTB's live keys.
-        Any intersection means ``predict_in_block`` *could* return a
-        prediction somewhere inside the block (aliasing included: the
-        probe is in key space, not stored-pc space, so a trainer at an
-        unrelated address still hits), and the block bails to the
-        per-step path, which reproduces phantom episodes exactly.  A
-        disjoint footprint proves every fused instruction's prediction
-        query would return None with zero side effects, and non-branch
-        instructions do nothing in ``_sequential_speculation``, so
-        skipping both calls is exact.  The BTB cannot change mid-block:
-        only retired branches train it, and the block contains none.
-
-        Per instruction the generated code replays the steady-state
-        step: µop-cache probe with hit/miss/decoder-µop accounting, the
-        inlined architectural effect
-        (:func:`~repro.isa.semantics.superblock_arch_lines`, effect
-        order identical to the executor thunks), retire counting — all
-        accumulated in locals and flushed once per dispatch.  A fault
-        mid-block flushes the partial accounting and rewinds ``pc`` to
-        the faulting instruction, leaving state byte-identical to the
-        per-step engines' (pinned by tests/pipeline/test_superblocks.py).
-        """
-        btb = self.bpu.btb
-        last_pc, last = run[-1]
-        end = canonical((last_pc + last.length) & MASK64)
-        span = last_pc + last.length - head
-        keys = btb.block_keys(head, span, kernel_mode=kernel_mode)
-        consts: dict = dict(SUPERBLOCK_HELPERS)
-        consts.update(
-            _cpu=self, _state=self.state, _counts=self._counts,
-            _ua=self.uopcache.access, _load=self._load,
-            _store=self._store, _msr=self.msr, _keys=keys,
-            _live=btb.live_keys, _pcs=tuple(pc for pc, _ in run),
-            _IH=_IDX_OP_HIT, _IM=_IDX_OP_MISS, _ID=_IDX_DE_DIS,
-            _II=_IDX_INSTRUCTIONS,
-        )
-        suppress = self.uarch.supports_suppress_bp_on_non_br
-        n = len(run)
-        src = [
-            "def _sb():",
-            "    if not _keys.isdisjoint(_live):",
-            "        _cpu.sb_probe_bails += 1",
-            "        return 0",
-            "    regs = _state.regs",
-            "    flags = _state.flags",
-            "    load = _load",
-            "    store = _store",
-            "    h = m = dd = r = cyc = 0",
-            "    try:",
-        ]
-        for index, (pc, instr) in enumerate(run):
-            src.append(f"        if _ua({pc:#x}):")
-            src.append("            h += 1; cyc += 1")
-            src.append("        else:")
-            src.append(f"            m += 1; dd += {uop_count(instr)}")
-            if suppress:
-                src.append("            if _msr.suppress_bp_on_non_br:")
-                src.append("                cyc += 2")
-            for line in superblock_arch_lines(instr, pc, index, consts):
-                src.append("        " + line)
-            src.append("        r += 1; cyc += 1")
-        src += [
-            "    except BaseException:",
-            "        _counts[_IH] += h; _counts[_IM] += m",
-            "        _counts[_ID] += dd; _counts[_II] += r",
-            "        _cpu.cycles += cyc",
-            "        _cpu.pc = _pcs[r]",
-            "        raise",
-            "    _counts[_IH] += h; _counts[_IM] += m",
-            "    _counts[_ID] += dd; _counts[_II] += r",
-            "    _cpu.cycles += cyc",
-            f"    _cpu.pc = {end:#x}",
-            f"    return {n}",
-        ]
-        exec(compile("\n".join(src), f"<superblock@{head:#x}>", "exec"),
-             consts)
-        return (n, consts["_sb"])
-
-    def _compile_transient_block(self, head: int, tbc: dict,
-                                 kernel_mode: bool):
-        """Fuse a straight-line run of *transient* decode entries.
-
-        The speculative-window analogue of ``_compile_superblock_at``:
-        the same fusible instruction set, the same lazy policy (only
-        fuse across entries the per-µop path already warmed; pin None
-        only when decoded bytes prove the run too short), but compiled
-        against the window's private load/store callbacks, with no PMC
-        or cycle effects — transient execution has none.  One entry
-        probe of the whole run's BTB key footprint replaces the per-µop
-        nested-prediction query: the BTB is static for an entire window
-        (branches only train at retirement), so a disjoint footprint
-        proves every fused µop's query would return None with zero side
-        effects; any intersection bails (return -1) to the per-µop
-        path, which replays nested phantom episodes exactly.
-
-        Per instruction the generated code replays the window walk's
-        I-side effects — line prefetch memoized on the L2 tick
-        (back-invalidation detector), µop-window fill at window
-        boundaries — and tracks µops completed, so a faulting load or
-        store mid-block reports exactly the µops the per-µop loop would
-        have counted before breaking.
-        """
-        cache = self._transient_cache
-        entry = cache.get(head, _UNCOMPILED)
-        if entry is _UNCOMPILED:
-            return None
-        run: list[tuple[int, tuple]] = []
-        pc = head
-        page = head >> PAGE_SHIFT
-        stopped_cold = False
-        while True:
-            if entry is None or entry[0].mnemonic not in SUPERBLOCK_FUSIBLE:
-                break
-            if entry[7] != kernel_mode:
-                # Entry warmed under the other privilege: its cached
-                # translation is unusable here.  Don't pin a verdict.
-                stopped_cold = True
-                break
-            run.append((pc, entry))
-            if len(run) == _SB_MAX_INSTRS:
-                break
-            pc = canonical((pc + entry[4]) & MASK64)
-            if pc >> PAGE_SHIFT != page:
-                break
-            entry = cache.get(pc, _UNCOMPILED)
-            if entry is _UNCOMPILED:
-                stopped_cold = True
-                break
-        if len(run) < _SB_MIN_INSTRS:
-            if not stopped_cold:
-                tbc[head] = None
-            return None
-        btb = self.bpu.btb
-        last_pc, last = run[-1]
-        end = canonical((last_pc + last[4]) & MASK64)
-        span = last_pc + last[4] - head
-        consts: dict = dict(SUPERBLOCK_HELPERS)
-        consts.update(
-            _cpu=self,
-            _keys=btb.block_keys(head, span, kernel_mode=kernel_mode),
-            _live=btb.live_keys, _l2=self.mem.hier.l2,
-            _prefetch=self.mem.hier.prefetch_instr,
-            _fill=self.uopcache.fill, _PF=PageFault,
-        )
-        src = [
-            "def _tb(arch, load, store):",
-            "    if not _keys.isdisjoint(_live):",
-            "        _cpu.sb_probe_bails += 1",
-            "        return -1",
-            "    regs = arch.regs",
-            "    flags = arch.flags",
-            "    done = 0",
-            "    try:",
-        ]
-        total = 0
-        prev_line = None
-        prev_window = None
-        for index, (pc, entry) in enumerate(run):
-            line = entry[8] & ~63
-            window = pc >> 6
-            if line != prev_line:
-                src.append(f"        _prefetch({line:#x})")
-                src.append("        _lt = _l2._tick")
-                prev_line = line
-            else:
-                src.append("        if _l2._tick != _lt:")
-                src.append(f"            _prefetch({line:#x})")
-                src.append("            _lt = _l2._tick")
-            if window != prev_window:
-                src.append(f"        _fill({pc:#x})")
-                prev_window = window
-            for arch_line in superblock_arch_lines(entry[0], pc, index,
-                                                   consts):
-                src.append("        " + arch_line)
-            total += entry[2]
-            src.append(f"        done = {total}")
-        src += [
-            "    except _PF:",
-            "        return done",
-            f"    return {total}",
-        ]
-        if _SPANS.enabled:
-            with _SPANS.span("fastpath:superblock", pc=hex(head),
-                             instructions=len(run), transient=True):
-                exec(compile("\n".join(src),
-                             f"<transientblock@{head:#x}>", "exec"), consts)
-        else:
-            exec(compile("\n".join(src),
-                         f"<transientblock@{head:#x}>", "exec"), consts)
-        block = (total, end, consts["_tb"])
-        tbc[head] = block
-        tb_index = self._tb_index
-        key = (kernel_mode, head)
-        for pc, _ in run:
-            owners = tb_index.get(pc)
-            if owners is None:
-                owners = tb_index[pc] = set()
-            owners.add(key)
-        self.tb_compiled += 1
-        return block
 
     # ------------------------------------------------------------------
     # quiescence
@@ -1270,8 +880,8 @@ class CPU:
         lookup must reproduce the naive path's break-on-DecodeError
         without re-reading physical memory every µop.  The key
         footprint lets ``_transient_run`` answer the nested prediction
-        query with one set intersection (see ``_fuse_superblock`` for
-        the soundness argument).  The entry privilege tags both the
+        query with one set intersection (see ``_compile_step`` for the
+        soundness argument).  The entry privilege tags both the
         footprint (Intel mixes privilege into the BTB tag) and the
         memoized translation (permission checks differ by mode); a
         privilege mismatch falls back to live calls.  Caching the
@@ -1339,37 +949,10 @@ class CPU:
             generation = self.mem.aspace.generation
             if self._transient_gen != generation:
                 self._transient_cache.clear()
-                self._tb_user.clear()
-                self._tb_kernel.clear()
-                self._tb_index.clear()
                 self._transient_gen = generation
             cache = self._transient_cache
-            tbc = self._tb_kernel if kernel_mode else self._tb_user
-        fuse = fast and self._superblocks
         while uop_budget > 0:
             if fast:
-                if fuse:
-                    block = tbc.get(pc, _UNCOMPILED)
-                    if block is _UNCOMPILED:
-                        block = self._compile_transient_block(
-                            pc, tbc, kernel_mode)
-                else:
-                    block = None
-                if block is not None and block is not _UNCOMPILED:
-                    total, end_pc, block_fn = block
-                    if total <= uop_budget:
-                        done = block_fn(arch, t_load, t_store)
-                        if done >= 0:
-                            executed += done
-                            uop_budget -= done
-                            if done != total:
-                                break      # faulted mid-block
-                            pc = end_pc
-                            # The block prefetched/filled on its own
-                            # memo state; resync ours conservatively.
-                            last_line = -1
-                            last_window = -1
-                            continue
                 entry = cache.get(pc, _UNCOMPILED)
                 if entry is _UNCOMPILED:
                     try:

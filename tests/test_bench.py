@@ -1,8 +1,8 @@
-"""The bench harness: document shape, comparison, superblock stats.
+"""The bench harness: document shape, comparison, skipped-cycle stats.
 
 The actual throughput numbers are host-dependent and untestable; what
 is pinned here is everything around them — engines retiring identical
-instruction counts, superblock statistics landing in the document,
+instruction counts, the skipped-cycle count landing in the document,
 regression comparison logic, and the summarize/diff text paths the
 ``repro stats`` command uses for ``phantom.bench/1`` documents.
 """
@@ -15,10 +15,10 @@ from repro.bench import (BENCH_SCHEMA, WORKLOADS, WorkloadResult, compare,
                          _straight_line)
 
 
-def make_result(name="branch_heavy", speedup=10.0, stats=None):
+def make_result(name="branch_heavy", speedup=10.0, skipped=None):
     return WorkloadResult(name=name, iterations=100, instructions=1000,
                           slow_seconds=speedup, fast_seconds=1.0,
-                          superblocks=stats)
+                          cycles_skipped=skipped)
 
 
 class TestWorkloadResult:
@@ -28,10 +28,10 @@ class TestWorkloadResult:
         assert r.fast_ips == 1000.0
         assert r.slow_ips == 125.0
 
-    def test_to_dict_includes_superblocks_when_present(self):
-        stats = {"compiled": 3, "fused_instructions": 30}
-        assert make_result(stats=stats).to_dict()["superblocks"] == stats
-        assert "superblocks" not in make_result().to_dict()
+    def test_to_dict_includes_cycles_skipped_when_present(self):
+        assert make_result(skipped=30).to_dict()["cycles_skipped"] == 30
+        assert make_result(skipped=0).to_dict()["cycles_skipped"] == 0
+        assert "cycles_skipped" not in make_result().to_dict()
 
 
 class TestDocument:
@@ -55,22 +55,29 @@ class TestDocument:
         with pytest.raises(ValueError):
             compare(document([make_result()]), {"schema": "nope"})
 
-    def test_summarize_mentions_superblock_stats(self):
-        stats = {"compiled": 4, "mean_length": 12.0, "cycles_skipped": 77}
-        text = summarize_bench(document([make_result(stats=stats)]))
+    @pytest.mark.parametrize("run_quick", [True, False])
+    def test_compare_rejects_baseline_of_the_other_mode(self, run_quick):
+        run = document([make_result()], quick=run_quick)
+        baseline = document([make_result()], quick=not run_quick)
+        with pytest.raises(ValueError, match="quick"):
+            compare(run, baseline)
+        assert compare(run, document([make_result()],
+                                     quick=run_quick)) == []
+
+    def test_summarize_mentions_cycles_skipped(self):
+        text = summarize_bench(document([make_result(skipped=77)]))
         assert "branch_heavy" in text
-        assert "compiled=4" in text
         assert "cycles_skipped=77" in text
 
     def test_diff_reports_speedup_delta_and_stat_changes(self):
-        a = document([make_result(speedup=10.0,
-                                  stats={"compiled": 4, "probe_bails": 0})])
-        b = document([make_result(speedup=12.0,
-                                  stats={"compiled": 4, "probe_bails": 9})])
+        a = document([make_result(speedup=10.0, skipped=0)])
+        b = document([make_result(speedup=12.0, skipped=9)])
         text = diff_bench(a, b)
         assert "+2.00x" in text
-        assert "probe_bails 0 -> 9" in text
-        assert "compiled" not in text   # unchanged stats stay silent
+        assert "cycles_skipped 0 -> 9" in text
+        same = diff_bench(a, document([make_result(speedup=12.0,
+                                                   skipped=0)]))
+        assert "cycles_skipped" not in same   # unchanged stays silent
 
     def test_diff_notes_missing_workloads(self):
         a = document([make_result(name="syscall")])
@@ -81,18 +88,16 @@ class TestDocument:
 
 class TestRunners:
     def test_idle_loop_engines_agree_and_record_stats(self):
-        slow_instrs, _, slow_stats = _run_idle_loop(20, False)
-        fast_instrs, _, fast_stats = _run_idle_loop(20, True)
+        slow_instrs, _, slow_skipped = _run_idle_loop(20, False)
+        fast_instrs, _, fast_skipped = _run_idle_loop(20, True)
         assert slow_instrs == fast_instrs > 0
-        assert slow_stats["cycles_skipped"] == 0
-        assert fast_stats["cycles_skipped"] == 20 * 2000
+        assert slow_skipped == 0
+        assert fast_skipped == 20 * 2000
 
-    def test_program_runner_returns_superblock_stats(self):
-        instrs, wall, stats = _run_program(_straight_line, 50, True)
+    def test_program_runner_returns_cycles_skipped(self):
+        instrs, wall, skipped = _run_program(_straight_line, 50, True)
         assert instrs > 0 and wall > 0
-        assert stats["compiled"] >= 1
-        assert stats["fused_instructions"] >= 3 * stats["compiled"]
-        assert stats["mean_length"] > 0
+        assert skipped == 0   # the program never idles
 
     def test_workload_registry_matches_sizes(self):
         from repro.bench import _SIZES
