@@ -16,6 +16,7 @@ carries the trainer's semantics — the root of Phantom.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 from ..isa import BranchKind
@@ -97,6 +98,9 @@ class BTBIndexing:
         """True if the two source addresses select the same BTB entry."""
         return self.index(va_a, kernel_a) == self.index(va_b, kernel_b)
 
+    # Both masks are pure functions of this frozen (hashable) value, and
+    # each costs a GF(2) solve that every attacker setup asks for.
+    @functools.cache
     def kernel_alias_mask(self) -> int:
         """Minimal flip pattern turning a kernel source into a colliding
         user source (what the exploits XOR kernel addresses with).
@@ -111,6 +115,7 @@ class BTBIndexing:
         return solve_alias_pattern(self.tag_functions,
                                    keep_low_bits=self.set_bits)
 
+    @functools.cache
     def user_alias_mask(self) -> int:
         """Minimal nonzero user-to-user alias flip pattern (bit 47 clear,
         low set-index bits clear, every tag function preserved)."""

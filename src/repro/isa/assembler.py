@@ -10,6 +10,7 @@ several assemblers into one :class:`Image`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from ..errors import AssemblerError
 from ..params import MASK64
@@ -61,6 +62,12 @@ class Image:
         if clash:
             raise AssemblerError(f"duplicate symbols: {sorted(clash)}")
         self.symbols.update(other.symbols)
+
+    def frozen(self) -> "Image":
+        """A read-only copy: a segment tuple and a symbol-table proxy,
+        so ``add``/``merge`` on it raise."""
+        return Image(segments=tuple(self.segments),
+                     symbols=MappingProxyType(dict(self.symbols)))
 
     def read(self, va: int, size: int) -> bytes:
         """Read *size* bytes at *va*; gaps are an error."""

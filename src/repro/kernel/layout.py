@@ -13,9 +13,14 @@ image offsets the paper reports:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from ..isa import Assembler, Cond, Image, Reg
+from .kaslr import MODULES_BASE
+from .modules import KernelModules, build_modules
 
 #: Total bytes of the mapped kernel text region (candidate fetch targets
 #: anywhere inside the image must be executable).
@@ -47,12 +52,16 @@ SYS_BTC_SAFE = 0x205      # same dispatcher, retpolined
 ENOSYS = -38 & ((1 << 64) - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelLayout:
-    """Assembled kernel text plus its symbol table (absolute VAs)."""
+    """Assembled kernel text plus its symbol table (absolute VAs).
+
+    Read-only: :func:`kernel_images` shares one layout between every
+    machine booted at the same image base.
+    """
 
     image: Image
-    symbols: dict[str, int]
+    symbols: Mapping[str, int]
     base: int
 
     def sym(self, name: str) -> int:
@@ -68,16 +77,27 @@ def reference_offsets() -> dict[str, int]:
     The kernel binary is public: attackers know symbol offsets and only
     the randomized base is secret.  Computed from a reference build.
     """
-    from .kaslr import MODULES_BASE
-    from .modules import build_modules
-
     base = 0xFFFF_FFFF_8000_0000
-    modules = build_modules(MODULES_BASE, base + IMAGE_SIZE)
-    layout = build_kernel_text(base, modules.symbols, base + IMAGE_SIZE)
+    _, layout = kernel_images(base)
     return {name: va - base for name, va in layout.symbols.items()}
 
 
-def build_kernel_text(image_base: int, module_symbols: dict[str, int],
+@functools.lru_cache(maxsize=64)
+def kernel_images(image_base: int) -> tuple[KernelModules, KernelLayout]:
+    """The modules and kernel text of a boot at *image_base*.
+
+    Both depend only on *image_base* (kernel data sits right after the
+    text), so each distinct base is assembled once per process (the
+    last 64 bases are kept, ~9 KB each).  The results are read-only and
+    shared: a machine copies their bytes into its own physical memory.
+    """
+    data_base = image_base + IMAGE_SIZE
+    modules = build_modules(MODULES_BASE, data_base)
+    layout = build_kernel_text(image_base, modules.symbols, data_base)
+    return modules, layout
+
+
+def build_kernel_text(image_base: int, module_symbols: Mapping[str, int],
                       data_base: int) -> KernelLayout:
     """Assemble the kernel text for a given randomized *image_base*.
 
@@ -184,4 +204,5 @@ def build_kernel_text(image_base: int, module_symbols: dict[str, int],
     image.add(segment, fdget_symbols)
     symbols.update(fdget_symbols)
 
-    return KernelLayout(image=image, symbols=symbols, base=image_base)
+    return KernelLayout(image=image.frozen(),
+                        symbols=MappingProxyType(symbols), base=image_base)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, replace
+from itertools import compress
 
 from ..errors import HaltRequested, PageFault, ReproError
 from ..isa import Assembler, Image, Reg
@@ -28,10 +29,9 @@ from ..telemetry.trace import TRACE as _TRACE
 
 _REG = _metrics.REGISTRY
 from .kaslr import Kaslr, MODULES_BASE
-from .layout import (DATA_SIZE, IMAGE_SIZE, KernelLayout, build_kernel_text)
+from .layout import DATA_SIZE, IMAGE_SIZE, kernel_images
 from .mitigations import DEFAULT_MITIGATIONS, MitigationConfig
-from .modules import (KernelModules, MDS_ARRAY_LENGTH, MODULE_SIZE,
-                      build_modules)
+from .modules import MDS_ARRAY_LENGTH, MODULE_SIZE
 
 #: Fixed user-space addresses of the attacker process.
 USER_STUB = 0x0000_0000_0040_0000       # syscall trampoline
@@ -43,6 +43,31 @@ KERNEL_STACK_SIZE = 4 * PAGE_SIZE
 #: Offset of the 4096-byte random secret inside the kernel data region.
 SECRET_OFFSET = 0x1000
 SECRET_SIZE = 4096
+
+#: ``_TOP_BIT_CLEAR[b]`` is 1 when byte *b* has its top bit clear.
+_TOP_BIT_CLEAR = bytes(int(b < 0x80) for b in range(256))
+
+
+def draw_secret(rng: random.Random, n: int) -> bytes:
+    """``bytes(rng.randrange(256) for _ in range(n))`` in bulk: the same
+    bytes, and *rng* left in the same state.
+
+    ``randrange(256)`` rejection-samples 9-bit draws: each try takes one
+    32-bit Mersenne Twister word, accepts it when its top bit is clear
+    and returns ``word >> 23``.  ``getrandbits(32 * k)`` yields the next
+    *k* words of the same stream, least significant first, so one
+    round takes exactly as many words as bytes are still missing (the
+    sequential loop needs at least that many: no overdraw) and keeps
+    the accepted ones in order.
+    """
+    out = bytearray()
+    while need := n - len(out):
+        words = rng.getrandbits(32 * need)
+        values = (words >> 23).to_bytes(4 * need, "little")[::4]
+        keep = words.to_bytes(4 * need, "little")[3::4].translate(
+            _TOP_BIT_CLEAR)
+        out.extend(compress(values, keep))
+    return bytes(out)
 
 
 @dataclass(frozen=True)
@@ -135,10 +160,8 @@ class Machine:
         image_base = self.kaslr.image_base
         self.data_base = image_base + IMAGE_SIZE
 
-        self.modules: KernelModules = build_modules(MODULES_BASE,
-                                                    self.data_base)
-        self.kernel: KernelLayout = build_kernel_text(
-            image_base, self.modules.symbols, self.data_base)
+        # Shared, read-only images: phys.write copies their bytes.
+        self.modules, self.kernel = kernel_images(image_base)
 
         # Kernel text: one executable supervisor range; code copied in.
         image_pa = mem.frames.alloc(IMAGE_SIZE)
@@ -153,7 +176,7 @@ class Machine:
         mem.aspace.map_linear(self.data_base, data_pa, DATA_SIZE,
                               user=False, nx=True)
         mem.phys.write_int(data_pa, 8, MDS_ARRAY_LENGTH)
-        secret = bytes(self.rng.randrange(256) for _ in range(SECRET_SIZE))
+        secret = draw_secret(self.rng, SECRET_SIZE)
         mem.phys.write(data_pa + SECRET_OFFSET, secret)
         self._secret = secret
 

@@ -17,6 +17,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from ..isa import Assembler, Cond, Image, Reg
 
@@ -38,12 +40,13 @@ COVERT_BRANCHES = 8
 MDS_ARRAY_LENGTH = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelModules:
-    """Assembled module text + symbols."""
+    """Assembled module text + symbols (read-only, like
+    :class:`~repro.kernel.layout.KernelLayout`)."""
 
     image: Image
-    symbols: dict[str, int]
+    symbols: Mapping[str, int]
     base: int
 
     def sym(self, name: str) -> int:
@@ -167,4 +170,5 @@ def build_modules(module_base: int, data_base: int) -> KernelModules:
     image.add(segment, noise_symbols)
     symbols.update(noise_symbols)
 
-    return KernelModules(image=image, symbols=symbols, base=module_base)
+    return KernelModules(image=image.frozen(),
+                         symbols=MappingProxyType(symbols), base=module_base)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 from ..params import CACHE_LINE, CACHE_LINE_SHIFT
 from ..telemetry import metrics as _metrics
@@ -45,6 +46,10 @@ class Cache:
     Addresses handed to the cache may be virtual or physical; the cache
     is agnostic and the owner decides (L1/L2 here are physically
     indexed; the µop cache is virtually indexed per the paper).
+
+    Sets are sparse: ``_sets`` maps a set index to its ways and gains
+    an entry on the set's first fill, so building a cache costs nothing
+    per set and :meth:`occupied_sets` walks only sets that were used.
     """
 
     def __init__(self, name: str, size: int, ways: int,
@@ -64,7 +69,7 @@ class Cache:
                              f"power of two")
         self.replacement = replacement
         self._rng = rng or random.Random(0)
-        self._sets: list[list[_Way]] = [[] for _ in range(self.num_sets)]
+        self._sets: dict[int, list[_Way]] = {}
         self._tick = 0
         self.stats = CacheStats()
         # Telemetry instruments (no-op unless the registry is enabled).
@@ -85,7 +90,8 @@ class Cache:
     def lookup(self, addr: int) -> bool:
         """Non-destructive presence check (no fill, no LRU update)."""
         line = self.line_addr(addr)
-        return any(w.line == line for w in self._sets[self.set_index(addr)])
+        return any(w.line == line
+                   for w in self._sets.get(self.set_index(addr), ()))
 
     def access(self, addr: int) -> tuple[bool, int | None]:
         """Access *addr*: returns ``(hit, evicted_line_or_None)``.
@@ -95,7 +101,10 @@ class Cache:
         """
         self._tick += 1
         line = self.line_addr(addr)
-        ways = self._sets[self.set_index(addr)]
+        index = self.set_index(addr)
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = []
         for way in ways:
             if way.line == line:
                 way.last_used = self._tick
@@ -139,7 +148,7 @@ class Cache:
     def invalidate(self, addr: int) -> bool:
         """Drop *addr*'s line if present.  Returns True if it was resident."""
         line = self.line_addr(addr)
-        ways = self._sets[self.set_index(addr)]
+        ways = self._sets.get(self.set_index(addr), ())
         for i, way in enumerate(ways):
             if way.line == line:
                 ways.pop(i)
@@ -148,16 +157,19 @@ class Cache:
         return False
 
     def flush_all(self) -> None:
-        for ways in self._sets:
-            ways.clear()
+        self._sets.clear()
         self.stats.flushes += 1
 
     # -- introspection (tests / attack tooling) -----------------------------
 
     def resident_lines(self, set_index: int) -> list[int]:
         """Line addresses currently resident in *set_index* (MRU last)."""
-        ways = self._sets[set_index]
+        ways = self._sets.get(set_index, ())
         return [w.line for w in sorted(ways, key=lambda w: w.last_used)]
 
     def set_occupancy(self, set_index: int) -> int:
-        return len(self._sets[set_index])
+        return len(self._sets.get(set_index, ()))
+
+    def occupied_sets(self) -> Iterator[int]:
+        """Indices of the non-empty sets, in ascending order."""
+        return (index for index in sorted(self._sets) if self._sets[index])

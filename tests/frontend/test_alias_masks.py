@@ -64,3 +64,26 @@ def test_user_alias_property(addr):
     idx = ZEN3.btb
     mask = idx.user_alias_mask()
     assert idx.collides(addr, addr ^ mask)
+
+
+class TestMemoizedMasks:
+    """The masks are memoized per ``BTBIndexing``; a cached answer must
+    equal a fresh solve (``__wrapped__`` bypasses the cache)."""
+
+    @pytest.mark.parametrize("uarch", ALL_MICROARCHES,
+                             ids=lambda u: u.name)
+    def test_user_mask_cache_matches_fresh_solve(self, uarch):
+        fresh = BTBIndexing.user_alias_mask.__wrapped__(uarch.btb)
+        assert uarch.btb.user_alias_mask() == fresh
+        assert uarch.btb.user_alias_mask() == fresh
+
+    @pytest.mark.parametrize("uarch", ALL_MICROARCHES,
+                             ids=lambda u: u.name)
+    def test_kernel_mask_cache_matches_fresh_solve(self, uarch):
+        if uarch.btb.privilege_in_tag:
+            with pytest.raises(ValueError):
+                uarch.btb.kernel_alias_mask()
+            return
+        fresh = BTBIndexing.kernel_alias_mask.__wrapped__(uarch.btb)
+        assert uarch.btb.kernel_alias_mask() == fresh
+        assert uarch.btb.kernel_alias_mask() == fresh
