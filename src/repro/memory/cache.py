@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..params import CACHE_LINE, CACHE_LINE_SHIFT
+from ..params import CACHE_LINE
 from ..telemetry import metrics as _metrics
 
 _REG = _metrics.REGISTRY
@@ -34,12 +34,6 @@ class CacheStats:
         self.hits = self.misses = self.evictions = self.flushes = 0
 
 
-@dataclass
-class _Way:
-    line: int           # full line address (line-aligned)
-    last_used: int      # LRU timestamp
-
-
 class Cache:
     """One level of set-associative cache.
 
@@ -50,12 +44,20 @@ class Cache:
     Sets are sparse: ``_sets`` maps a set index to its ways and gains
     an entry on the set's first fill, so building a cache costs nothing
     per set and :meth:`occupied_sets` walks only sets that were used.
+    A set is a dict from resident line address to the tick of its last
+    use, so a hit, :meth:`lookup` and :meth:`invalidate` are one dict
+    probe.  Ticks are unique, so the LRU victim (smallest tick) is
+    unambiguous; a hit updates its line's tick in place, so the dict's
+    insertion order is fill order, which the RANDOM victim draw indexes.
     """
 
     def __init__(self, name: str, size: int, ways: int,
                  line_size: int = CACHE_LINE,
                  replacement: Replacement = Replacement.LRU,
                  rng: random.Random | None = None) -> None:
+        if line_size <= 0 or line_size & (line_size - 1):
+            raise ValueError(f"{name}: line size {line_size} not a power "
+                             f"of two")
         if size % (ways * line_size):
             raise ValueError(f"{name}: size {size} not divisible by "
                              f"ways*line ({ways}*{line_size})")
@@ -69,7 +71,10 @@ class Cache:
                              f"power of two")
         self.replacement = replacement
         self._rng = rng or random.Random(0)
-        self._sets: dict[int, list[_Way]] = {}
+        self._line_shift = line_size.bit_length() - 1
+        self._line_mask = ~(line_size - 1)
+        self._set_mask = self.num_sets - 1
+        self._sets: dict[int, dict[int, int]] = {}
         self._tick = 0
         self.stats = CacheStats()
         # Telemetry instruments (no-op unless the registry is enabled).
@@ -80,18 +85,17 @@ class Cache:
     # -- geometry ----------------------------------------------------------
 
     def line_addr(self, addr: int) -> int:
-        return addr & ~(self.line_size - 1)
+        return addr & self._line_mask
 
     def set_index(self, addr: int) -> int:
-        return (addr >> CACHE_LINE_SHIFT) & (self.num_sets - 1)
+        return (addr >> self._line_shift) & self._set_mask
 
     # -- operations --------------------------------------------------------
 
     def lookup(self, addr: int) -> bool:
         """Non-destructive presence check (no fill, no LRU update)."""
-        line = self.line_addr(addr)
-        return any(w.line == line
-                   for w in self._sets.get(self.set_index(addr), ()))
+        return (addr & self._line_mask) in self._sets.get(
+            (addr >> self._line_shift) & self._set_mask, ())
 
     def access(self, addr: int) -> tuple[bool, int | None]:
         """Access *addr*: returns ``(hit, evicted_line_or_None)``.
@@ -99,33 +103,32 @@ class Cache:
         On a miss the line is filled, possibly evicting the LRU (or a
         random) victim from the set.
         """
-        self._tick += 1
-        line = self.line_addr(addr)
-        index = self.set_index(addr)
+        tick = self._tick = self._tick + 1
+        line = addr & self._line_mask
+        index = (addr >> self._line_shift) & self._set_mask
         ways = self._sets.get(index)
         if ways is None:
-            ways = self._sets[index] = []
-        for way in ways:
-            if way.line == line:
-                way.last_used = self._tick
-                self.stats.hits += 1
-                if _REG.enabled:
-                    self._m_hits.value += 1
-                return True, None
+            ways = self._sets[index] = {}
+        elif line in ways:
+            ways[line] = tick
+            self.stats.hits += 1
+            if _REG.enabled:
+                self._m_hits.value += 1
+            return True, None
         self.stats.misses += 1
         if _REG.enabled:
             self._m_misses.value += 1
         evicted = None
         if len(ways) >= self.ways:
             if self.replacement is Replacement.LRU:
-                victim = min(range(len(ways)), key=lambda i: ways[i].last_used)
+                evicted = min(ways, key=ways.__getitem__)
             else:
-                victim = self._rng.randrange(len(ways))
-            evicted = ways.pop(victim).line
+                evicted = list(ways)[self._rng.randrange(len(ways))]
+            del ways[evicted]
             self.stats.evictions += 1
             if _REG.enabled:
                 self._m_evictions.value += 1
-        ways.append(_Way(line=line, last_used=self._tick))
+        ways[line] = tick
         return False, evicted
 
     def fill(self, addr: int) -> int | None:
@@ -147,14 +150,11 @@ class Cache:
 
     def invalidate(self, addr: int) -> bool:
         """Drop *addr*'s line if present.  Returns True if it was resident."""
-        line = self.line_addr(addr)
-        ways = self._sets.get(self.set_index(addr), ())
-        for i, way in enumerate(ways):
-            if way.line == line:
-                ways.pop(i)
-                self.stats.flushes += 1
-                return True
-        return False
+        ways = self._sets.get((addr >> self._line_shift) & self._set_mask)
+        if ways is None or ways.pop(addr & self._line_mask, None) is None:
+            return False
+        self.stats.flushes += 1
+        return True
 
     def flush_all(self) -> None:
         self._sets.clear()
@@ -164,8 +164,8 @@ class Cache:
 
     def resident_lines(self, set_index: int) -> list[int]:
         """Line addresses currently resident in *set_index* (MRU last)."""
-        ways = self._sets.get(set_index, ())
-        return [w.line for w in sorted(ways, key=lambda w: w.last_used)]
+        ways = self._sets.get(set_index, {})
+        return sorted(ways, key=ways.__getitem__)
 
     def set_occupancy(self, set_index: int) -> int:
         return len(self._sets.get(set_index, ()))

@@ -41,10 +41,13 @@ results (cycles, PMCs, episodes — pinned by the differential tests):
   privilege)`` pair, the whole step into one fused closure holding the
   decoded instruction, a specialised executor thunk
   (:func:`~repro.isa.semantics.compile_executor`) and pre-resolved PMC
-  counter slots.  Stateful shared models (µop cache, BPU, cache
-  hierarchy) are still consulted per step — only Python-level dispatch,
-  allocation and attribute traffic is removed, which is what keeps the
-  fast path architecturally invisible.
+  counter slots.  The first visit runs the naive step and leaves a
+  shared revisit marker in the pc's cache slot, so code rewritten
+  before it runs again (BTB-training snippets) is never compiled.
+  Stateful shared models (µop cache, BPU, cache hierarchy) are still
+  consulted per step — only Python-level dispatch, allocation and
+  attribute traffic is removed, which is what keeps the fast path
+  architecturally invisible.
 
 Quiescent stretches (:meth:`CPU.idle`) are advanced by an event
 scheduler that jumps between deadlines instead of ticking (see
@@ -52,9 +55,9 @@ scheduler that jumps between deadlines instead of ticking (see
 
 ``PHANTOM_REPRO_FASTPATH=0`` selects the naive path; ``quiesce=0``
 keeps the fast path with ticked idle (see ``docs/performance.md``).
-Step thunks are dropped by :meth:`CPU.invalidate_code`; privilege is
-part of the cache key, so kernel and user executions of the same bytes
-never share a thunk.
+Step thunks and revisit markers are dropped by
+:meth:`CPU.invalidate_code`; privilege is part of the cache key, so
+kernel and user executions of the same bytes never share a thunk.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ..errors import (DecodeError, HaltRequested, PageFault, ReproError,
@@ -229,6 +233,13 @@ class CPU:
         #: (the (pc, kernel_mode) step-cache key).
         self._step_cache_user: dict[int, Callable[[], None]] = {}
         self._step_cache_kernel: dict[int, Callable[[], None]] = {}
+        #: Revisit markers, one per privilege level, shared by every pc:
+        #: a first visit leaves the marker in the pc's step-cache slot,
+        #: and the run loop calling it compiles the pc's thunk.
+        self._revisit_user = partial(self._compile_and_step,
+                                     self._step_cache_user)
+        self._revisit_kernel = partial(self._compile_and_step,
+                                       self._step_cache_kernel)
         #: Transient-path decode cache: pc -> (instr, thunk, µops,
         #: ends_window) or None for undecodable bytes.  Valid only for
         #: the page-table generation it was filled under.
@@ -389,7 +400,7 @@ class CPU:
                 if thunk is not None:
                     thunk()
                 else:
-                    self._step_and_compile(cache)
+                    self._cold_step(cache)
         else:
             for _ in range(max_instructions):
                 self._step_slow()
@@ -405,7 +416,7 @@ class CPU:
             if thunk is not None:
                 thunk()
             else:
-                self._step_and_compile(cache)
+                self._cold_step(cache)
         else:
             self._step_slow()
 
@@ -453,45 +464,59 @@ class CPU:
             return
         self.pc = canonical(result.next_pc)
 
-    def _step_and_compile(self, cache: dict[int, Callable[[], None]]) -> None:
-        """Cold visit: run the naive engine once, then install the fused
-        step thunk for subsequent visits.
+    def _cold_step(self, cache: dict[int, Callable[[], None]]) -> None:
+        """First visit: run the naive engine once, then cache the
+        privilege level's shared revisit marker for the pc.
 
         The naive step performs the first-visit work (fetch/decode cycle
-        charging, fault propagation with the exact naive ordering), so
-        compilation itself is architecturally free; the thunk compiled
-        afterwards replays the steady-state step, whose decode-cache hit
-        can no longer fetch or fault.
-
-        With span tracing active each cold visit is bracketed by a
-        ``fastpath:compile`` span (warm visits run bare thunks — the
-        compile/execute split a trace shows is exactly the dual-engine
-        split).  Compilation is deliberately *not* a metrics counter:
-        only the fast engine compiles, and engine manifests must stay
-        fingerprint-identical.
+        charging, fault propagation with the exact naive ordering).  No
+        thunk is compiled yet: the pcs of rewritten code — every
+        ``train_indirect`` snippet — are mostly invalidated before they
+        run again, and compiling them was wasted work.  Markers are
+        registered for invalidation like thunks, so ``invalidate_code``
+        drops them too.
         """
-        if _SPANS.enabled:
-            with _SPANS.span("fastpath:compile", pc=hex(self.pc)):
-                self._cold_step(cache)
-        else:
-            self._cold_step(cache)
-
-    def _cold_step(self, cache: dict[int, Callable[[], None]]) -> None:
         pc = self.pc
-        kernel_mode = self.kernel_mode
+        marker = self._revisit_kernel if self.kernel_mode \
+            else self._revisit_user
         try:
             self._step_slow()
         finally:
-            # Compile even when the step raised (HLT's HaltRequested, a
+            # Cache even when the step raised (HLT's HaltRequested, a
             # faulting load): the thunk reproduces the raise exactly, and
             # skipping the cache here made every trap-terminated loop —
             # e.g. a syscall round trip ending in hlt — pay a full slow
             # step per visit forever.  A pc whose decode was invalidated
             # during its own step (self-modifying write) stays cold.
-            instr = self._decode_cache.get(pc)
-            if instr is not None:
-                cache[pc] = self._compile_step(pc, instr, kernel_mode)
+            if pc in self._decode_cache:
+                cache[pc] = marker
                 self._register_code_pc(pc)
+
+    def _compile_and_step(self, cache: dict[int, Callable[[], None]]) -> None:
+        """Second visit, called through a revisit marker: compile the
+        pc's fused step thunk, cache it and run it.
+
+        The marker exists only while the first visit's decode-cache
+        entry does (``invalidate_code`` drops both), so compilation is
+        architecturally free: the thunk replays the steady-state step,
+        whose decode-cache hit can no longer fetch or fault.
+
+        With span tracing active each compilation is bracketed by a
+        ``fastpath:compile`` span (first visits and warm visits are not
+        — the compile/execute split a trace shows is exactly the
+        dual-engine split).  Compilation is deliberately *not* a
+        metrics counter: only the fast engine compiles, and engine
+        manifests must stay fingerprint-identical.
+        """
+        pc = self.pc
+        instr = self._decode_cache[pc]
+        if _SPANS.enabled:
+            with _SPANS.span("fastpath:compile", pc=hex(pc)):
+                thunk = self._compile_step(pc, instr, self.kernel_mode)
+        else:
+            thunk = self._compile_step(pc, instr, self.kernel_mode)
+        cache[pc] = thunk
+        thunk()
 
     def _compile_step(self, pc: int, instr: Instruction,
                       kernel_mode: bool) -> Callable[[], None]:

@@ -15,6 +15,14 @@ class TestParity:
         assert gf2.parity(0b1011) == 1
         assert gf2.parity(0b1111) == 0
 
+    @given(st.integers(-(2**70), 2**70))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_count_forms_agree(self, x):
+        """``int.bit_count`` counts the bits of ``abs(x)``, exactly as
+        the ``bin(x).count("1")`` form it replaced, negatives included."""
+        assert gf2.popcount(x) == bin(x).count("1")
+        assert gf2.parity(x) == bin(x).count("1") & 1
+
     def test_apply_mask(self):
         # f = b47 ^ b35 ^ b23 (Figure 7's f0)
         mask = (1 << 47) | (1 << 35) | (1 << 23)
