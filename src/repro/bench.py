@@ -14,19 +14,13 @@ simulator's main cost regimes:
 * ``syscall``       — user/kernel round trips on a booted
   :class:`~repro.kernel.Machine`: privilege transitions, IBPB/fence
   mitigation work and kernel-text execution.
-* ``idle_loop``     — short retire bursts separated by long quiescent
-  stretches with scheduled wakeup events: the regime
-  :meth:`~repro.pipeline.CPU.idle` optimises, where the fast engine
-  jumps between event deadlines instead of ticking every cycle.
 
-Results are written as a ``phantom.bench/1`` document; each workload
-entry carries the fast engine's ``cycles_skipped`` (quiescent cycles
-jumped over instead of ticked).  Regression comparison is done on the
-fast/slow *speedup ratio*, not absolute IPS: the ratio divides out host
-speed, so a baseline committed from one machine remains meaningful on
-any other (CI runners included).  Quick and full runs amortize
-compilation over different iteration counts, so their ratios are only
-compared with a baseline of the same mode.
+Results are written as a ``phantom.bench/1`` document.  Regression
+comparison is done on the fast/slow *speedup ratio*, not absolute IPS:
+the ratio divides out host speed, so a baseline committed from one
+machine remains meaningful on any other (CI runners included).  Quick
+and full runs amortize compilation over different iteration counts, so
+their ratios are only compared with a baseline of the same mode.
 """
 
 from __future__ import annotations
@@ -47,7 +41,7 @@ from .pipeline import CPU, ZEN2
 BENCH_SCHEMA = "phantom.bench/1"
 
 #: Workload names in report order.
-WORKLOADS = ("straight_line", "branch_heavy", "syscall", "idle_loop")
+WORKLOADS = ("straight_line", "branch_heavy", "syscall")
 
 #: Iteration counts: (full, quick).  Sized so a full run finishes in a
 #: couple of minutes on a laptop and ``--quick`` fits a CI smoke job.
@@ -58,7 +52,6 @@ _SIZES = {
     # hundred milliseconds of wall time measures the OS scheduler, not
     # the simulator.
     "syscall": (2_000, 300),
-    "idle_loop": (2_000, 300),
 }
 
 _CODE = 0x0000_0010_0000
@@ -74,8 +67,6 @@ class WorkloadResult:
     instructions: int          # simulated instructions per engine run
     slow_seconds: float
     fast_seconds: float
-    #: Quiescent cycles the fast engine skipped; None when unmeasured.
-    cycles_skipped: int | None = None
 
     @property
     def slow_ips(self) -> float:
@@ -90,7 +81,7 @@ class WorkloadResult:
         return self.slow_seconds / self.fast_seconds
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "name": self.name,
             "iterations": self.iterations,
             "instructions": self.instructions,
@@ -100,9 +91,6 @@ class WorkloadResult:
             "fast_ips": round(self.fast_ips, 1),
             "speedup": round(self.speedup, 3),
         }
-        if self.cycles_skipped is not None:
-            out["cycles_skipped"] = self.cycles_skipped
-        return out
 
 
 # -- workload programs --------------------------------------------------------
@@ -159,8 +147,8 @@ def _branch_heavy(iters: int) -> Assembler:
 
 
 def _run_program(builder, iters: int,
-                 fastpath: bool) -> tuple[int, float, int]:
-    """Run one user-mode program to HLT; (instrs, wall, cycles skipped)."""
+                 fastpath: bool) -> tuple[int, float]:
+    """Run one user-mode program to HLT; (instrs, wall)."""
     mem = MemorySystem(256 << 20, fastpath=fastpath)
     cpu = CPU(ZEN2, mem, fastpath=fastpath)
     mem.map_anonymous(_STACK - 16 * PAGE_SIZE, 16 * PAGE_SIZE,
@@ -173,12 +161,12 @@ def _run_program(builder, iters: int,
     except HaltRequested:
         pass
     wall = time.perf_counter() - start
-    return cpu.pmc.read("instructions"), wall, cpu.cycles_skipped
+    return cpu.pmc.read("instructions"), wall
 
 
 def _run_syscalls(iters: int,
-                  fastpath: bool) -> tuple[int, float, int]:
-    """getpid round trips on a booted machine; (instrs, wall, skipped).
+                  fastpath: bool) -> tuple[int, float]:
+    """getpid round trips on a booted machine; (instrs, wall).
 
     The engine is selected through the environment toggle the escape
     hatch documents (a :class:`Machine` boots its own memory system),
@@ -202,53 +190,7 @@ def _run_syscalls(iters: int,
     for _ in range(iters):
         machine.syscall(39)
     wall = time.perf_counter() - start
-    return (machine.cpu.pmc.read("instructions") - base, wall,
-            machine.cpu.cycles_skipped)
-
-
-def _idle_burst(iters: int) -> Assembler:
-    """A short retire burst: the active half of the idle workload."""
-    asm = Assembler(_CODE)
-    asm.mov_ri(Reg.RAX, iters)
-    for _ in range(8):
-        asm.add_ri(Reg.RAX, 5)
-        asm.xor_rr(Reg.RBX, Reg.RAX)
-    asm.hlt()
-    return asm
-
-
-def _run_idle_loop(iters: int,
-                   fastpath: bool) -> tuple[int, float, int]:
-    """Retire bursts separated by event-punctuated quiescent stretches.
-
-    Each iteration runs the burst program to HLT, arms two wakeup
-    events and idles 2000 cycles through them — the shape of a device
-    model waiting on timer deadlines.  The callbacks only append to a
-    host-side list, so both engines observe identical event traffic;
-    the fast engine's :meth:`CPU.idle` skips straight between the
-    deadlines instead of ticking every cycle.
-    """
-    mem = MemorySystem(256 << 20, fastpath=fastpath)
-    cpu = CPU(ZEN2, mem, fastpath=fastpath)
-    mem.map_anonymous(_STACK - 16 * PAGE_SIZE, 16 * PAGE_SIZE,
-                      user=True, nx=True)
-    cpu.state.write(Reg.RSP, _STACK)
-    mem.load_image(_idle_burst(iters).image(), user=True)
-    fired: list[int] = []
-    start = time.perf_counter()
-    for _ in range(iters):
-        try:
-            cpu.run(_CODE, max_instructions=1_000_000)
-        except HaltRequested:
-            pass
-        cpu.sched.schedule(cpu.cycles, 500, fired.append)
-        cpu.sched.schedule(cpu.cycles, 1300, fired.append)
-        cpu.idle(2000)
-    wall = time.perf_counter() - start
-    if len(fired) != 2 * iters:
-        raise AssertionError(
-            f"idle_loop: {len(fired)} events fired, expected {2 * iters}")
-    return cpu.pmc.read("instructions"), wall, cpu.cycles_skipped
+    return machine.cpu.pmc.read("instructions") - base, wall
 
 
 #: Repetitions per engine measurement; the best (minimum) wall wins.
@@ -258,7 +200,7 @@ def _run_idle_loop(iters: int,
 _REPEATS = 3
 
 
-def _best_of(run, *args) -> tuple[int, float, int]:
+def _best_of(run, *args) -> tuple[int, float]:
     best = None
     for _ in range(_REPEATS):
         sample = run(*args)
@@ -272,20 +214,15 @@ def measure(name: str, *, quick: bool = False) -> WorkloadResult:
     full, small = _SIZES[name]
     iters = small if quick else full
     if name == "syscall":
-        slow_instrs, slow_wall, _ = _best_of(_run_syscalls, iters, False)
-        fast_instrs, fast_wall, skipped = _best_of(_run_syscalls, iters,
-                                                   True)
-    elif name == "idle_loop":
-        slow_instrs, slow_wall, _ = _best_of(_run_idle_loop, iters, False)
-        fast_instrs, fast_wall, skipped = _best_of(_run_idle_loop, iters,
-                                                   True)
+        slow_instrs, slow_wall = _best_of(_run_syscalls, iters, False)
+        fast_instrs, fast_wall = _best_of(_run_syscalls, iters, True)
     else:
         builder = _straight_line if name == "straight_line" \
             else _branch_heavy
-        slow_instrs, slow_wall, _ = _best_of(_run_program, builder,
-                                             iters, False)
-        fast_instrs, fast_wall, skipped = _best_of(_run_program, builder,
-                                                   iters, True)
+        slow_instrs, slow_wall = _best_of(_run_program, builder, iters,
+                                          False)
+        fast_instrs, fast_wall = _best_of(_run_program, builder, iters,
+                                          True)
     if slow_instrs != fast_instrs:
         raise AssertionError(
             f"{name}: engines retired different instruction counts "
@@ -293,8 +230,7 @@ def measure(name: str, *, quick: bool = False) -> WorkloadResult:
             f"path diverged architecturally")
     return WorkloadResult(name=name, iterations=iters,
                           instructions=slow_instrs,
-                          slow_seconds=slow_wall, fast_seconds=fast_wall,
-                          cycles_skipped=skipped)
+                          slow_seconds=slow_wall, fast_seconds=fast_wall)
 
 
 def run_bench(*, quick: bool = False,
@@ -388,8 +324,6 @@ def summarize_bench(doc: dict) -> str:
             f"{entry['slow_ips']:10,.0f} slow ips  "
             f"{entry['fast_ips']:10,.0f} fast ips  "
             f"{entry['speedup']:6.2f}x")
-        if "cycles_skipped" in entry:
-            lines.append(f"{'':16s} cycles_skipped={entry['cycles_skipped']}")
     return "\n".join(lines)
 
 
@@ -408,7 +342,4 @@ def diff_bench(a: dict, b: dict) -> str:
         delta = wb["speedup"] - wa["speedup"]
         lines.append(f"{name:16s} {wa['speedup']:9.2f}x {wb['speedup']:9.2f}x "
                      f"{delta:+7.2f}x")
-        sa, sb = wa.get("cycles_skipped"), wb.get("cycles_skipped")
-        if sa is not None and sb is not None and sa != sb:
-            lines.append(f"{'':16s} cycles_skipped {sa} -> {sb}")
     return "\n".join(lines)

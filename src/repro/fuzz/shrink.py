@@ -152,7 +152,7 @@ def _reduce_items(program: FuzzProgram, which: str, keep_last: bool,
         if size == 1:
             if not removed_any:
                 break
-            continue  # single-item pass again until quiescent
+            continue  # single-item pass again until one removes nothing
         size //= 2
     return reducer.program
 

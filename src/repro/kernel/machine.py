@@ -285,12 +285,12 @@ class Machine:
         """Simulated wall-clock time since boot."""
         return self.cpu.cycles / (self.uarch.clock_ghz * 1e9)
 
-    def idle(self, cycles: int) -> None:
-        """Let the core sit quiescent for *cycles* cycles (e.g. waiting
-        on a timer): delegates to :meth:`CPU.idle`, which either ticks
-        or event-skips depending on the fast-path configuration —
-        identically either way."""
-        self.cpu.idle(cycles)
+    def close(self) -> None:
+        """Release the machine: drop the references that tie it and its
+        core into cycles, so it is freed as soon as the last outside
+        reference goes instead of at the next cyclic GC pass.  The
+        machine cannot run afterwards; its counters stay readable."""
+        self.cpu.close()
 
     @property
     def timing_jitter_sigma(self) -> float:

@@ -5,7 +5,6 @@ from .config import (ALL_MICROARCHES, AMD_MICROARCHES, INTEL_11TH,
                      Microarch, ZEN1, ZEN2, ZEN3, ZEN4, by_name)
 from .cpu import CPU, EpisodeRecord, MSRState, Reach
 from .pmc import EVENTS, PMC
-from .sched import EventScheduler
 
 __all__ = [
     "ALL_MICROARCHES",
@@ -13,7 +12,6 @@ __all__ = [
     "CPU",
     "EVENTS",
     "EpisodeRecord",
-    "EventScheduler",
     "INTEL_11TH",
     "INTEL_12TH",
     "INTEL_13TH",

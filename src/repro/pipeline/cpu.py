@@ -49,12 +49,8 @@ results (cycles, PMCs, episodes — pinned by the differential tests):
   attribute traffic is removed, which is what keeps the fast path
   architecturally invisible.
 
-Quiescent stretches (:meth:`CPU.idle`) are advanced by an event
-scheduler that jumps between deadlines instead of ticking (see
-``pipeline/sched.py``).
-
-``PHANTOM_REPRO_FASTPATH=0`` selects the naive path; ``quiesce=0``
-keeps the fast path with ticked idle (see ``docs/performance.md``).
+``PHANTOM_REPRO_FASTPATH=0`` selects the naive path (see
+``docs/performance.md``).
 Step thunks and revisit markers are dropped by
 :meth:`CPU.invalidate_code`; privilege is part of the cache key, so
 kernel and user executions of the same bytes never share a thunk.
@@ -70,7 +66,6 @@ from typing import Callable
 
 from ..errors import (DecodeError, HaltRequested, PageFault, ReproError,
                       SimulationLimit, TruncatedError)
-from ..fastpath import fastpath_config
 from ..frontend import BPU, Prediction, UopCache
 from ..isa import (MAX_INSTR_BYTES, ArchState, BranchKind, Instruction,
                    Mnemonic, compile_executor, decode, decode_cached,
@@ -82,13 +77,11 @@ from ..telemetry.spans import SPANS as _SPANS
 from ..telemetry.trace import TRACE as _TRACE
 from .config import Microarch
 from .pmc import PMC
-from .sched import EventScheduler
 
 _REG = _metrics.REGISTRY
 
 #: Pre-resolved PMC counter slots (see :meth:`PMC.index`): the hot path
 #: bumps ``pmc.counts`` entries directly instead of hashing event names.
-_IDX_CYCLES = PMC.index("cycles")
 _IDX_INSTRUCTIONS = PMC.index("instructions")
 _IDX_OP_HIT = PMC.index("op_cache_hit")
 _IDX_OP_MISS = PMC.index("op_cache_miss")
@@ -163,21 +156,22 @@ class _TransientState:
     iteration of ``_transient_run``.  ``stores`` keeps *program order*:
     a store to an address that already has a buffered entry re-inserts
     it, so youngest-first scans (store-to-load forwarding) see the
-    latest write last-inserted.
+    latest write last-inserted.  The callbacks close over ``stores``,
+    not over the state itself, so a finished window is freed by
+    reference counting.
     """
 
     __slots__ = ("arch", "stores", "load", "store")
 
     def __init__(self, cpu: "CPU", arch: ArchState) -> None:
         self.arch = arch
-        self.stores: dict[int, tuple[int, int]] = {}
+        self.stores = stores = {}
         user = not cpu.kernel_mode
 
         def load(addr: int, size: int) -> int:
-            return cpu._transient_load(addr, size, self, user)
+            return cpu._transient_load(addr, size, stores, user)
 
         def store(addr: int, size: int, value: int) -> None:
-            stores = self.stores
             if addr in stores:
                 del stores[addr]
             stores[addr] = (size, value)
@@ -191,14 +185,13 @@ class CPU:
 
     def __init__(self, uarch: Microarch, mem: MemorySystem,
                  rng: random.Random | None = None,
-                 fastpath: bool | None = None, *,
-                 quiesce: bool | None = None) -> None:
+                 fastpath: bool | None = None) -> None:
         self.uarch = uarch
         self.mem = mem
         self.rng = rng or random.Random(0)
         self.bpu = BPU(uarch.btb, btb_ways=uarch.btb_ways)
         self.uopcache = UopCache()
-        self.pmc = PMC()
+        self.pmc = PMC(self)
         self.state = ArchState()
         self.msr = MSRState()
         self.pc = 0
@@ -213,13 +206,8 @@ class CPU:
         self.instr_hook = None
         self._decode_cache: dict[int, Instruction] = {}
         #: Engine selection; defaults to the memory system's, so one
-        #: PHANTOM_REPRO_FASTPATH read governs the whole machine.  The
-        #: quiescence-skipping flag defaults to the environment's
-        #: selective syntax and only applies when the fast path itself
-        #: is on.
+        #: PHANTOM_REPRO_FASTPATH read governs the whole machine.
         self._fastpath = mem.fastpath if fastpath is None else bool(fastpath)
-        self._quiesce = self._fastpath and (
-            fastpath_config().quiesce if quiesce is None else bool(quiesce))
         #: Byte-window decode memo on the fast path; the naive engine
         #: decodes every time, so it stays the uncached oracle.
         self._decode = decode_cached if self._fastpath else decode
@@ -248,21 +236,26 @@ class CPU:
         #: Page -> pcs with any cached artifact on that page, so
         #: invalidate_code touches only the affected pages.
         self._code_pages: dict[int, set[int]] = {}
-        #: Quiescence statistic.  A plain attribute, *not* a metrics
-        #: counter: only the fast engine skips cycles, and engine
-        #: manifests must stay fingerprint-identical.
-        self.cycles_skipped = 0
-        #: Always zero: the code-fusion layer that counted these is
-        #: gone, but the paper-experiment benchmark's tracer
-        #: (``perfbench/tracer.py``) still reads them by name.  Delete
-        #: them once the tracer stops doing so.
+        #: Always zero: the code-fusion and idle-skipping layers
+        #: that counted these are gone, but the paper-experiment
+        #: benchmark's tracer (``perfbench/tracer.py``) still reads them
+        #: by name.  Delete them once the tracer stops doing so.
         self.sb_compiled = self.sb_invalidated = self.tb_compiled = 0
-        #: Deferred-event scheduler driving :meth:`idle`.
-        self.sched = EventScheduler()
+        self.cycles_skipped = 0
         self._m_phantom = _metrics.counter("speculation_episodes",
                                            flavour="phantom")
         self._m_spectre = _metrics.counter("speculation_episodes",
                                            flavour="spectre")
+
+    def close(self) -> None:
+        """Drop everything that refers back to this core — the trap
+        handler, the instruction hook, the revisit markers and the
+        compiled thunks — so a discarded core is freed by reference
+        counting.  The core cannot run afterwards."""
+        self.trap_handler = self.instr_hook = None
+        self._revisit_user = self._revisit_kernel = None
+        self._step_cache_user.clear()
+        self._step_cache_kernel.clear()
 
     # ------------------------------------------------------------------
     # decode path
@@ -596,60 +589,6 @@ class CPU:
             cpu.pc = canonical(result.next_pc)
 
         return step_thunk
-
-    # ------------------------------------------------------------------
-    # quiescence
-    # ------------------------------------------------------------------
-
-    def idle(self, cycles: int) -> None:
-        """Advance through *cycles* quiescent cycles, firing due events.
-
-        Quiescent cycles retire nothing; their only observable effects
-        are the ``cycles`` clock, the idle-cycle PMC slot and whatever
-        the scheduled event callbacks do.  The ticked mode replays them
-        one by one; the event-skipped mode (fast path default) jumps
-        straight between event deadlines and applies the per-cycle
-        counter effect arithmetically.  Overdue events — armed for a
-        deadline the instruction stream has already run past — fire on
-        the first idle cycle in both modes.  Cycle-exact equivalence of
-        the two modes is pinned by tests/pipeline/test_quiescence.py.
-        """
-        if cycles <= 0:
-            return
-        sched = self.sched
-        counts = self._counts
-        end = self.cycles + cycles
-        if self._quiesce:
-            while True:
-                deadline = sched.next_deadline()
-                if deadline is None:
-                    break
-                now = self.cycles
-                target = deadline if deadline > now else now + 1
-                if target > end:
-                    break
-                dt = target - now
-                self.cycles = target
-                counts[_IDX_CYCLES] += dt
-                self.cycles_skipped += dt
-                callback = sched.pop_due(target)
-                while callback is not None:
-                    callback(target)
-                    callback = sched.pop_due(target)
-            dt = end - self.cycles
-            if dt > 0:
-                self.cycles = end
-                counts[_IDX_CYCLES] += dt
-                self.cycles_skipped += dt
-        else:
-            while self.cycles < end:
-                self.cycles += 1
-                counts[_IDX_CYCLES] += 1
-                now = self.cycles
-                callback = sched.pop_due(now)
-                while callback is not None:
-                    callback(now)
-                    callback = sched.pop_due(now)
 
     # ------------------------------------------------------------------
     # frontend (pre-decode) prediction handling
@@ -1085,8 +1024,8 @@ class CPU:
         return executed
 
     def _transient_load(self, addr: int, size: int,
-                        transient: _TransientState, user: bool) -> int:
-        stores = transient.stores
+                        stores: dict[int, tuple[int, int]],
+                        user: bool) -> int:
         if stores:
             # Store-to-load forwarding: the youngest buffered store that
             # fully contains the load forwards its bytes (hardware

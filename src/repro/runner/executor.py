@@ -124,7 +124,10 @@ class JobContext:
     """
 
     def __init__(self) -> None:
+        #: Everything accounted: booted machines and tracked objects.
         self.machines: list = []
+        #: The machines this context booted, and so owns and closes.
+        self._booted: list = []
 
     def boot(self, spec):
         """Boot *spec* (a :class:`repro.kernel.MachineSpec`) and track
@@ -132,7 +135,9 @@ class JobContext:
         from ..kernel import Machine
 
         with SPANS.span("boot", arch=getattr(spec, "name", "")):
-            return self.track(Machine.from_spec(spec))
+            machine = Machine.from_spec(spec)
+        self._booted.append(machine)
+        return self.track(machine)
 
     def span(self, name: str, **attrs):
         """Bracket an experiment phase (``warm``, ``measure:…``) with a
@@ -157,6 +162,14 @@ class JobContext:
             for name, value in machine.cpu.pmc.snapshot().items():
                 merged[name] = merged.get(name, 0) + value
         return merged
+
+    def close(self) -> None:
+        """Release every machine :meth:`boot` made (:meth:`Machine.close`)
+        once the job's cycles and PMC totals have been read, so its
+        memory goes back without waiting for the cyclic GC.  Objects
+        handed to :meth:`track` stay their owner's to release."""
+        for machine in self._booted:
+            machine.close()
 
 
 @dataclass
@@ -296,6 +309,7 @@ def execute_job(experiment, spec: JobSpec, *, timeout_s: float | None = None,
         SPANS.adopt(trace_ctx)
     job_parent = trace_ctx.parent_span_id if trace_ctx is not None else ""
     for attempt in range(retries + 1):
+        ctx.close()      # a failed attempt's machines
         ctx = JobContext()
         registry.reset()
         registry.enable()
@@ -315,6 +329,7 @@ def execute_job(experiment, spec: JobSpec, *, timeout_s: float | None = None,
             manifest = job_manifest(spec, ctx, registry.snapshot(),
                                     status="success", wall_time_s=wall,
                                     attempts=attempt + 1, **extra)
+            ctx.close()
             registry.disable()
             return JobResult(spec=spec, value=value, attempts=attempt + 1,
                              attempt_history=history, wall_time_s=wall,
@@ -328,6 +343,7 @@ def execute_job(experiment, spec: JobSpec, *, timeout_s: float | None = None,
                             status="failure", wall_time_s=wall,
                             error=message, error_kind=kind,
                             attempts=len(errors), **extra)
+    ctx.close()
     return JobResult(spec=spec, error=message, error_kind=kind,
                      attempts=len(errors), attempt_history=history,
                      wall_time_s=wall, manifest=manifest)

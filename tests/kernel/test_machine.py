@@ -1,7 +1,11 @@
 """Machine boot, syscalls, paper-offset gadgets, mitigations, physmap."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.core.kaslr_image import break_kernel_image_kaslr
 from repro.errors import PageFault
 from repro.isa import Assembler, Reg, decode, Mnemonic
 from repro.kernel import (DISCLOSURE_GADGET_OFFSET, FDGET_POS_OFFSET,
@@ -171,3 +175,36 @@ class TestMitigationsWiring:
         # The user-planted entry is gone (the kernel's own branches
         # legitimately retrain entries after the barrier).
         assert m.cpu.bpu.btb.lookup(0x1000, kernel_mode=False) is None
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Only reference counting frees objects inside the test."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestClose:
+    def booted_and_run(self):
+        machine = Machine(ZEN2, kaslr_seed=3)
+        machine.syscall(SYS_GETPID)
+        # One §7.1 probe: BTB training, rewritten user code, phantom and
+        # Spectre windows, compiled thunks on both privilege levels.
+        break_kernel_image_kaslr(
+            machine, candidates=[machine.kaslr.image_base])
+        return machine
+
+    def test_closed_machine_is_freed_by_reference_counting(
+            self, no_cyclic_gc):
+        machine = self.booted_and_run()
+        cycles = machine.cycles
+        machine.close()
+        assert machine.cpu.pmc.read("cycles") == cycles  # still readable
+        parts = [weakref.ref(o) for o in (machine, machine.cpu,
+                                          machine.mem)]
+        del machine
+        assert [ref() for ref in parts] == [None, None, None]

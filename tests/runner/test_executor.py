@@ -4,13 +4,17 @@ The toy experiments live at module top level so the process pool can
 pickle their specs into worker processes.
 """
 
+import gc
 import time
+import weakref
 from dataclasses import dataclass
 from typing import ClassVar
 
 import pytest
 
 from repro.kernel import MachineSpec
+from repro.memory import MemorySystem
+from repro.pipeline import CPU, ZEN2
 from repro.runner import (CampaignError, JobSpec, derive_seed, execute_job,
                           manifest_fingerprint, resolve_jobs, run_campaign)
 from repro.telemetry import validate_manifest
@@ -57,6 +61,39 @@ class FlakyExperiment(ToyExperiment):
         if _FLAKY_STATE["calls"] == 1:
             raise RuntimeError("transient")
         return super().run_one(spec, ctx)
+
+
+_BOOTED: list = []
+
+
+@dataclass(frozen=True)
+class BootingExperiment(ToyExperiment):
+    """Boots and runs a machine per job, keeping only weak references;
+    the first attempt of every job fails when *flaky*."""
+
+    flaky: bool = False
+
+    def run_one(self, spec, ctx):
+        machine = ctx.boot(MachineSpec(uarch="zen2"))
+        machine.syscall(39)
+        _BOOTED.append(weakref.ref(machine))
+        # A tracked object the context did not boot is accounted, not
+        # closed: it needs no close() of its own.
+        ctx.track(_Accounted())
+        if self.flaky and len(_BOOTED) % 2:
+            raise RuntimeError("transient")
+        return machine.cycles
+
+
+class _Accounted:
+    """An idle core counted like a machine, with no ``close`` method."""
+
+    def __init__(self) -> None:
+        self.cpu = CPU(ZEN2, MemorySystem(16 << 20))
+        self.cycles = 0
+
+    def seconds(self) -> float:
+        return 0.0
 
 
 def test_resolve_jobs():
@@ -239,3 +276,23 @@ def test_no_retry_reports_first_failure():
     result = execute_job(experiment, spec, retries=0)
     assert not result.ok
     assert "transient" in result.error
+
+
+@pytest.mark.parametrize("flaky", [False, True])
+def test_job_machines_are_closed_and_freed(flaky):
+    """Every machine a job boots — a failed attempt's included — is
+    closed once the job manifest is built, so reference counting frees
+    it without the cyclic GC."""
+    _BOOTED.clear()
+    experiment = BootingExperiment(n=1, flaky=flaky)
+    [spec] = experiment.job_specs()
+    gc.collect()
+    gc.disable()
+    try:
+        result = execute_job(experiment, spec, retries=1)
+        assert result.ok
+        assert result.manifest["pmc"]["cycles"] == result.value > 0
+        assert len(_BOOTED) == (2 if flaky else 1)
+        assert [ref() for ref in _BOOTED] == [None] * len(_BOOTED)
+    finally:
+        gc.enable()

@@ -1,8 +1,7 @@
-"""The bench harness: document shape, comparison, skipped-cycle stats.
+"""The bench harness: document shape and comparison.
 
 The actual throughput numbers are host-dependent and untestable; what
-is pinned here is everything around them — engines retiring identical
-instruction counts, the skipped-cycle count landing in the document,
+is pinned here is everything around them — the program runner,
 regression comparison logic, and the summarize/diff text paths the
 ``repro stats`` command uses for ``phantom.bench/1`` documents.
 """
@@ -11,14 +10,12 @@ import pytest
 
 from repro.bench import (BENCH_SCHEMA, WORKLOADS, WorkloadResult, compare,
                          diff_bench, document, is_bench_document,
-                         summarize_bench, _run_idle_loop, _run_program,
-                         _straight_line)
+                         summarize_bench, _run_program, _straight_line)
 
 
-def make_result(name="branch_heavy", speedup=10.0, skipped=None):
+def make_result(name="branch_heavy", speedup=10.0):
     return WorkloadResult(name=name, iterations=100, instructions=1000,
-                          slow_seconds=speedup, fast_seconds=1.0,
-                          cycles_skipped=skipped)
+                          slow_seconds=speedup, fast_seconds=1.0)
 
 
 class TestWorkloadResult:
@@ -27,11 +24,6 @@ class TestWorkloadResult:
         assert r.speedup == 8.0
         assert r.fast_ips == 1000.0
         assert r.slow_ips == 125.0
-
-    def test_to_dict_includes_cycles_skipped_when_present(self):
-        assert make_result(skipped=30).to_dict()["cycles_skipped"] == 30
-        assert make_result(skipped=0).to_dict()["cycles_skipped"] == 0
-        assert "cycles_skipped" not in make_result().to_dict()
 
 
 class TestDocument:
@@ -64,42 +56,30 @@ class TestDocument:
         assert compare(run, document([make_result()],
                                      quick=run_quick)) == []
 
-    def test_summarize_mentions_cycles_skipped(self):
-        text = summarize_bench(document([make_result(skipped=77)]))
+    def test_summarize_lists_workload_speedups(self):
+        text = summarize_bench(document([make_result(speedup=12.0)]))
         assert "branch_heavy" in text
-        assert "cycles_skipped=77" in text
+        assert "12.00x" in text
 
-    def test_diff_reports_speedup_delta_and_stat_changes(self):
-        a = document([make_result(speedup=10.0, skipped=0)])
-        b = document([make_result(speedup=12.0, skipped=9)])
-        text = diff_bench(a, b)
-        assert "+2.00x" in text
-        assert "cycles_skipped 0 -> 9" in text
-        same = diff_bench(a, document([make_result(speedup=12.0,
-                                                   skipped=0)]))
-        assert "cycles_skipped" not in same   # unchanged stays silent
+    def test_diff_reports_speedup_delta(self):
+        a = document([make_result(speedup=10.0)])
+        b = document([make_result(speedup=12.0)])
+        assert "+2.00x" in diff_bench(a, b)
 
     def test_diff_notes_missing_workloads(self):
         a = document([make_result(name="syscall")])
-        b = document([make_result(name="idle_loop")])
+        b = document([make_result(name="straight_line")])
         text = diff_bench(a, b)
         assert "only in A" in text and "only in B" in text
 
 
 class TestRunners:
-    def test_idle_loop_engines_agree_and_record_stats(self):
-        slow_instrs, _, slow_skipped = _run_idle_loop(20, False)
-        fast_instrs, _, fast_skipped = _run_idle_loop(20, True)
+    def test_program_runner_engines_agree(self):
+        slow_instrs, slow_wall = _run_program(_straight_line, 50, False)
+        fast_instrs, fast_wall = _run_program(_straight_line, 50, True)
         assert slow_instrs == fast_instrs > 0
-        assert slow_skipped == 0
-        assert fast_skipped == 20 * 2000
-
-    def test_program_runner_returns_cycles_skipped(self):
-        instrs, wall, skipped = _run_program(_straight_line, 50, True)
-        assert instrs > 0 and wall > 0
-        assert skipped == 0   # the program never idles
+        assert slow_wall > 0 and fast_wall > 0
 
     def test_workload_registry_matches_sizes(self):
         from repro.bench import _SIZES
         assert set(WORKLOADS) == set(_SIZES)
-        assert "idle_loop" in WORKLOADS
